@@ -1,25 +1,39 @@
-"""Minimum-dual-norm points of small polyhedra {x : G x <= c}.
+"""Exact minimum-norm points of small polyhedra {x : G x <= c}.
 
-The Euclidean case goes through the dual of min 0.5||x||^2 s.t. Gx <= c, a
-bound-constrained QP solved by accelerated projected gradient.  The
-constraint matrix is shared across many right-hand sides (one per unit dual
-direction), so the Gram matrix is factored once and all directions are
-iterated as a batch.  Solutions are polished onto the feasible set
-(most-violated projections), so reported norms are always realized by a
-feasible point; diverging dual iterates flag primal infeasibility.  The
-polyhedral norms (q in {1, inf}) use projected subgradient descent from
-multiple starts around the Euclidean solution.
+Every rg+ value is a limit of such problems, so each is solved exactly
+rather than iterated towards its minimum:
+
+- q = 2 is least-distance programming, min ||x||_2 s.t. Gx <= c, reduced to
+  a nonnegative least-squares problem and solved by the Lawson-Hanson
+  active-set method (Lawson & Hanson, *Solving Least Squares Problems*,
+  1974, chapter 23).  A zero NNLS residual certifies infeasibility.
+- q in {1, inf} is the linear program min t s.t. Gx <= c, b.x <= t for every
+  facet normal b of the unit q-ball (2^n sign vectors for q = 1, the 2n
+  signed unit vectors for q = inf).  Its dual, min c.lam s.t. G^T lam_G +
+  B^T lam_B = 0, sum(lam_B) = 1, lam >= 0, has only n + 1 rows, is always
+  feasible, and is unbounded exactly when the polyhedron is empty; it is
+  solved by a two-phase revised simplex with Bland's rule, and x is read
+  off the optimal simplex multipliers.
+
+Rows are scaled to unit length first (which leaves the polyhedron as it
+is), and every returned point is checked against the constraints.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_FEAS_TOL = 1e-11
-_DIVERGED = 1e12
+#: constraint violation, relative to 1 + ||x||_2 in unit-row units, still accepted as feasible
+_FEAS_TOL = 1e-9
+#: NNLS residual norm at or below which least-distance programming reports infeasibility;
+#: a feasible problem has residual 1 / sqrt(1 + ||x||^2)
+_LDP_EMPTY = 1e-12
+#: reduced-cost and pivot tolerance of the simplex, relative to the data's scale
+_LP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -29,143 +43,171 @@ class MinNormSolution:
     feasible: bool
 
 
-class PolyhedronProjector:
-    """Shared machinery for min ||x||_2 over {x : Gx <= c} with varying c."""
-
-    def __init__(self, G: np.ndarray):
-        self.G = np.atleast_2d(np.asarray(G, dtype=float))
-        self.n_cons, self.dim = self.G.shape
-        self.M = self.G @ self.G.T
-        self.row_sq = np.sum(self.G * self.G, axis=1)
-        self.row_sq[self.row_sq == 0.0] = 1.0
-        z = np.ones(self.n_cons)
-        for _ in range(14):
-            w = self.M @ z
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """argmin ||E u - f||_2 over u >= 0, by the Lawson-Hanson active-set method."""
+    k = E.shape[1]
+    u = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(E.shape) * max(1.0, float(np.abs(E).max()))
+    for _ in range(3 * k):
+        w = E.T @ (f - E @ u)
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(k)
+            z[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+            blocking = passive & (z <= 0.0)
+            if not blocking.any():
                 break
-            z = w / nw
-        self.L = max(float(z @ (self.M @ z)), 1e-12) * 1.05
-
-    def _polish(self, X: np.ndarray, C: np.ndarray, passes: int = 200) -> np.ndarray:
-        """Columnwise most-violated projections; returns a feasibility mask."""
-        n_dirs = X.shape[1]
-        ok = np.zeros(n_dirs, dtype=bool)
-        scale = 1.0 + np.max(np.abs(C), axis=0)
-        cols = np.arange(n_dirs)
-        for _ in range(passes):
-            V = self.G @ X - C
-            worst = np.argmax(V, axis=0)
-            viol = V[worst, cols]
-            ok = viol <= _FEAS_TOL * scale
-            if ok.all():
-                break
-            active = ~ok
-            X[:, active] -= self.G[worst[active]].T * (viol[active] / self.row_sq[worst[active]])
-        V = self.G @ X - C
-        ok = np.max(V, axis=0) <= 1e-8 * scale
-        return ok
-
-    def solve_batch(self, C: np.ndarray, max_iter: int = 400,
-                    warm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Minimize 0.5||x||^2 s.t. Gx <= C[:, k] for every column k.
-
-        Returns (X, feasible, lam): one primal solution per column plus the
-        dual iterates for warm starts.  Infeasible columns surface through the
-        polish step, which cannot reach feasibility for them.
-        """
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        n_dirs = C.shape[1]
-        lam = np.zeros((self.n_cons, n_dirs)) if warm is None else warm.copy()
-        y = lam.copy()
-        t = 1.0
-        for it in range(max_iter):
-            grad = self.M @ y
-            grad += C
-            lam_new = y - grad / self.L
-            np.maximum(lam_new, 0.0, out=lam_new)
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = lam_new + ((t - 1.0) / t_new) * (lam_new - lam)
-            lam_old = lam
-            lam, t = lam_new, t_new
-            if (it & 15) == 15:
-                # clamp diverging duals (infeasible columns) before they overflow;
-                # the polish step flags those columns as infeasible afterwards
-                np.clip(lam, 0.0, _DIVERGED, out=lam)
-                np.clip(y, -_DIVERGED, _DIVERGED, out=y)
-                step = float(np.max(np.abs(lam - lam_old)))
-                if step <= 1e-12 * (1.0 + float(np.max(lam))):
-                    break
-        X = -(self.G.T @ lam)
-        feasible = self._polish(X, C)
-        np.clip(lam, 0.0, _DIVERGED, out=lam)
-        return X, feasible, lam
-
-    def solve_one(self, c: np.ndarray, warm: np.ndarray | None = None,
-                  max_iter: int = 400) -> MinNormSolution:
-        w = warm.reshape(-1, 1) if warm is not None else None
-        X, ok, _ = self.solve_batch(c.reshape(-1, 1), max_iter=max_iter, warm=w)
-        x = X[:, 0]
-        if not ok[0]:
-            return MinNormSolution(x, math.inf, False)
-        return MinNormSolution(x, float(np.linalg.norm(x)), True)
+            # move towards z until the first passive variable reaches zero;
+            # it leaves the passive set, with any other that reached zero too
+            steps = u[blocking] / (u[blocking] - z[blocking])
+            u += float(steps.min()) * (z - u)
+            u[np.flatnonzero(blocking)[np.argmin(steps)]] = 0.0
+            passive &= u > tol
+            u[~passive] = 0.0
+        u = z
+    return u
 
 
-def _q_norm(x: np.ndarray, q: float) -> float:
-    if q == 1.0:
-        return float(np.sum(np.abs(x)))
-    if q == 2.0:
-        return float(np.linalg.norm(x))
-    return float(np.max(np.abs(x))) if x.size else 0.0
+def _least_distance(G: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """min ||x||_2 s.t. Gx <= c; None when the system is infeasible.
 
-
-def _q_subgradient(x: np.ndarray, q: float) -> np.ndarray:
-    if q == 1.0:
-        return np.sign(x)
-    if q == 2.0:
-        n = float(np.linalg.norm(x))
-        return x / n if n > 0 else np.zeros_like(x)
-    g = np.zeros_like(x)
-    if x.size:
-        i = int(np.argmax(np.abs(x)))
-        g[i] = math.copysign(1.0, x[i])
-    return g
-
-
-def min_dual_norm_point(G: np.ndarray, c: np.ndarray, q: float,
-                        n_starts: int = 16, seed: int = 0) -> MinNormSolution:
-    """Minimize the q-norm over {x : Gx <= c}; q in {1, 2, inf}."""
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    if G.size == 0:
-        return MinNormSolution(np.zeros(G.shape[1] if G.ndim == 2 else 0), 0.0, True)
-    c = np.asarray(c, dtype=float)
-    proj = PolyhedronProjector(G)
-    sol = proj.solve_one(c)
-    if q == 2.0 or not sol.feasible:
-        return sol
-
-    def polish(x):
-        X = x.reshape(-1, 1).copy()
-        ok = proj._polish(X, c.reshape(-1, 1), passes=80)
-        return X[:, 0], bool(ok[0])
-
-    rng = np.random.default_rng(seed)
-    x0 = sol.x
-    best, best_val = x0, _q_norm(x0, q)
-    radius = max(best_val, 1e-6)
+    With E = [-G^T; -c^T] and f = e_{n+1}, the NNLS residual r = E u - f of
+    the optimal u is zero when no x exists, and otherwise x = -r[:n] / r[n]
+    with the rows where u > 0 active.  x is taken as the least-norm solution
+    of those active rows, which keeps its accuracy when ||x|| is large and r
+    small.
+    """
     n = G.shape[1]
-    for s in range(n_starts):
-        x = x0 if s == 0 else x0 + rng.standard_normal(n) * radius * 0.5
-        x, ok = polish(x)
-        if not ok:
-            continue
-        step0 = max(_q_norm(x, q), 1e-8)
-        for it in range(1, 201):
-            g = _q_subgradient(x, q)
-            x_try, ok = polish(x - (0.5 * step0 / math.sqrt(it)) * g)
-            if ok and _q_norm(x_try, q) < _q_norm(x, q):
-                x = x_try
-        val = _q_norm(x, q)
-        if val < best_val:
-            best, best_val = x, val
-    return MinNormSolution(best, best_val, True)
+    E = -np.vstack([G.T, c])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    u = _nnls(E, f)
+    r = E @ u - f
+    if np.linalg.norm(r) <= _LDP_EMPTY or r[n] >= 0.0:
+        return None
+    active = u > 0.0
+    return np.linalg.lstsq(G[active], c[active], rcond=None)[0]
+
+
+def _simplex_multipliers(A: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndarray | None:
+    """Optimal simplex multipliers pi of min cost.z s.t. Az = b, z >= 0 (A of full
+    row rank, b >= 0); None when it is infeasible or unbounded.
+
+    Two-phase revised simplex with Bland's rule, which cannot cycle; phase 1
+    starts from artificial columns and pivots any left at level zero out of
+    the basis, which full row rank makes possible.
+    """
+    m, k = A.shape
+    full = np.hstack([A, np.eye(m)])
+    basis = list(range(k, k + m))
+    scale = 1.0 + float(np.abs(cost).max(initial=0.0))
+
+    def run(obj: np.ndarray, allowed: int) -> bool:
+        while True:
+            Bm = full[:, basis]
+            pi = np.linalg.solve(Bm.T, obj[basis])
+            reduced = obj[:allowed] - full[:, :allowed].T @ pi
+            entering = next((j for j in range(allowed)
+                             if reduced[j] < -_LP_TOL * scale and j not in basis), None)
+            if entering is None:
+                return True
+            level = np.linalg.solve(Bm, b)
+            d = np.linalg.solve(Bm, full[:, entering])
+            rows = [i for i in range(m) if d[i] > _LP_TOL]
+            if not rows:
+                return False
+            ratios = [level[i] / d[i] for i in rows]
+            least = min(ratios)
+            leaving = min((basis[i], i) for i, t in zip(rows, ratios)
+                          if t <= least + _LP_TOL)[1]
+            basis[leaving] = entering
+
+    run(np.concatenate([np.zeros(k), np.ones(m)]), k)
+    level = np.linalg.solve(full[:, basis], b)
+    if any(basis[i] >= k and level[i] > _LP_TOL for i in range(m)):
+        return None  # b is no nonnegative combination of A's columns
+    for i in range(m):
+        if basis[i] >= k:
+            d = np.linalg.solve(full[:, basis], full[:, :k])[i]
+            basis[i] = next(j for j in np.argsort(-np.abs(d)) if j not in basis)
+    if not run(np.concatenate([cost, np.zeros(m)]), k):
+        return None
+    return np.linalg.solve(full[:, basis].T, cost[basis])
+
+
+def _ball_facets(n: int, q: float) -> np.ndarray:
+    """Outer normals b of the unit q-ball's facets, so that ||x||_q = max b.x."""
+    if q == 1.0:
+        return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    return np.vstack([np.eye(n), -np.eye(n)])
+
+
+def _min_polyhedral_norm(G: np.ndarray, c: np.ndarray, q: float) -> np.ndarray | None:
+    """min ||x||_q s.t. Gx <= c for q in {1, inf}; None when infeasible."""
+    n = G.shape[1]
+    B = _ball_facets(n, q)
+    # dual columns: (-g_i, 0) per constraint row, (-b, 1) per facet
+    A = np.vstack([-np.hstack([G.T, B.T]),
+                   np.concatenate([np.zeros(len(G)), np.ones(len(B))])])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    pi = _simplex_multipliers(A, b, np.concatenate([c, np.zeros(len(B))]))
+    return None if pi is None else -pi[:n]
+
+
+class PolyhedronProjector:
+    """Exact minimum q-norm points of {x : Gx <= c} for one G and many c."""
+
+    def __init__(self, G: np.ndarray, q: float):
+        if q not in (1.0, 2.0, math.inf):
+            raise ValueError(f"q must be 1, 2 or inf, got {q}")
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        self.q = q
+        self.dim = G.shape[1]
+        lengths = np.linalg.norm(G, axis=1)
+        # a zero row reads 0 <= c_i: it holds for every x or for none
+        self._zero = lengths == 0.0
+        self._lengths = lengths[~self._zero]
+        self._G = G[~self._zero] / self._lengths[:, None]
+
+    def _solve(self, c: np.ndarray) -> MinNormSolution:
+        infeasible = MinNormSolution(np.full(self.dim, np.nan), math.inf, False)
+        if np.any(c[self._zero] < 0.0):
+            return infeasible
+        c = c[~self._zero] / self._lengths
+        if c.size == 0:
+            x = np.zeros(self.dim)
+        elif self.q == 2.0:
+            x = _least_distance(self._G, c)
+        else:
+            x = _min_polyhedral_norm(self._G, c, self.q)
+        if x is None or (c.size and np.max(self._G @ x - c)
+                         > _FEAS_TOL * (1.0 + float(np.linalg.norm(x)))):
+            return infeasible
+        return MinNormSolution(x, float(np.linalg.norm(x, self.q)), True)
+
+    def solve_one(self, c: np.ndarray) -> MinNormSolution:
+        return self._solve(np.asarray(c, dtype=float).reshape(-1))
+
+    def solve_batch(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Solve for every column of C.
+
+        Returns (X, feasible, values): one minimizer per column (NaN where
+        infeasible), the feasibility flags and the q-norms (+inf where
+        infeasible).
+        """
+        C = np.asarray(C, dtype=float)
+        sols = [self._solve(C[:, k]) for k in range(C.shape[1])]
+        return (np.column_stack([s.x for s in sols]),
+                np.array([s.feasible for s in sols], dtype=bool),
+                np.array([s.value for s in sols]))
+
+
+def min_dual_norm_point(G: np.ndarray, c: np.ndarray, q: float) -> MinNormSolution:
+    """Minimize the q-norm over {x : Gx <= c}; q in {1, 2, inf}."""
+    return PolyhedronProjector(G, q).solve_one(c)

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._minnorm import min_dual_norm_point
 from .spaces import (
     DimensionMismatchError,
     NormSpec,
@@ -189,33 +190,14 @@ class LinearMapping(MappingModel):
         w = x - u0
         if self.domain.p == 2.0:
             return float(np.linalg.norm(w - self._null @ (self._null.T @ w)))
-        return _min_pnorm_over_affine(w, self._null, self.domain)
+        # min ||v||_p over A v = A x - y, as two-sided inequalities
+        r = self.matrix @ x - as_vector(y)
+        return min_dual_norm_point(np.vstack([self.matrix, -self.matrix]),
+                                   np.concatenate([r, -r]), self.domain.p).value
 
     def inverse_points(self, y) -> list[np.ndarray]:
         u0 = self._particular_solution(y)
         return [] if u0 is None else [u0]
-
-
-def _min_pnorm_over_affine(w: np.ndarray, basis: np.ndarray, spec: NormSpec) -> float:
-    """min_z ||w - basis z||_p by iterated grid refinement (small null dimensions)."""
-    d = basis.shape[1]
-    center = basis.T @ w  # least-squares start
-    width = float(np.linalg.norm(w)) + 1.0
-    best = norm(w - basis @ center, spec)
-    best_z = center
-    for _ in range(8):
-        axes = [np.linspace(c - width, c + width, 7) for c in center]
-        grids = np.meshgrid(*axes, indexing="ij")
-        zs = np.stack([g.ravel() for g in grids], axis=1)
-        for z in zs:
-            val = norm(w - basis @ z, spec)
-            if val < best:
-                best, best_z = val, z
-        center = best_z
-        width *= 0.35
-        if d > 3:
-            break
-    return best
 
 
 class SmoothMapping(MappingModel):

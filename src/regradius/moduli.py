@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from ._minnorm import PolyhedronProjector, min_dual_norm_point
+from ._minnorm import PolyhedronProjector
 from .mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
 from .oracles import MEMBERSHIP_SLACK
 from .spaces import (
@@ -31,10 +31,6 @@ from .spaces import (
 STABILIZATION_REL = 0.05
 
 _POS_TOL = 1e-14
-
-
-class NotOnSampleError(ValueError):
-    """The query point is not part of the sampled graph."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,7 @@ class ModulusEstimate:
             "value": _json_value(self.value),
             "per_scale": [[d, _json_value(v)] for d, v in self.per_scale],
             "stabilized": self.stabilized,
+            "low_confidence": self.low_confidence,
             "witness": witness,
         }
 
@@ -143,7 +140,8 @@ class ModulusEstimate:
             return math.inf if v == "inf" else float(v)
 
         per_scale = tuple((float(d), _num(v)) for d, v in doc["per_scale"])
-        return cls(_num(doc["value"]), per_scale, bool(doc["stabilized"]), kind=kind)
+        return cls(_num(doc["value"]), per_scale, bool(doc["stabilized"]), kind=kind,
+                   low_confidence=bool(doc.get("low_confidence", False)))
 
 
 def _stabilized(values: list[float]) -> bool:
@@ -272,8 +270,8 @@ def _neighbor_system(sample: SampledGraph, at: GraphPoint, test_radius: float):
 
 
 def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
-                          directions, test_radius: float, refine: bool = True,
-                          seed: int = 0) -> MinNormCoderivative:
+                          directions, test_radius: float,
+                          refine: bool = True) -> MinNormCoderivative:
     """Minimal ||x*|| over unit dual directions subject to the sampled
     normal-cone constraints at `at`.
 
@@ -291,32 +289,17 @@ def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
         return MinNormCoderivative(0.0, elem, low_confidence=True)
     G, V, r = system
     margin = max(2.0 * MEMBERSHIP_SLACK, 1e-6 * eps)
-    q = domain.q
+    proj = PolyhedronProjector(G, domain.q)
 
+    def solve(y_star: np.ndarray):
+        return proj.solve_one((eps - margin) * r + V @ y_star)
+
+    X, feasible, values = proj.solve_batch((eps - margin) * r[:, None]
+                                           + V @ np.column_stack(directions))
+    k = int(np.argmin(values))
     best_val, best_dir, best_x = math.inf, None, None
-    warm_lam = None
-    if q == 2.0:
-        proj = PolyhedronProjector(G)
-        D = np.column_stack(directions)
-        C = (eps - margin) * r[:, None] + V @ D
-        X, feas, lams = proj.solve_batch(C)
-        vals = np.linalg.norm(X, axis=0)
-        for k in range(len(directions)):
-            if feas[k] and vals[k] < best_val:
-                best_val, best_dir, best_x = float(vals[k]), directions[k], X[:, k]
-                warm_lam = lams[:, k]
-
-        def solve(y_star: np.ndarray):
-            return proj.solve_one((eps - margin) * r + V @ y_star,
-                                  warm=warm_lam, max_iter=180)
-    else:
-        def solve(y_star: np.ndarray):
-            return min_dual_norm_point(G, (eps - margin) * r + V @ y_star, q, seed=seed)
-
-        for y_star in directions:
-            sol = solve(y_star)
-            if sol.feasible and sol.value < best_val:
-                best_val, best_dir, best_x = sol.value, y_star, sol.x
+    if feasible[k]:
+        best_val, best_dir, best_x = float(values[k]), directions[k], X[:, k]
 
     m = sample.spaces.right.dimension
     if refine and best_dir is not None and m >= 2:
@@ -330,7 +313,7 @@ def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
             y = _angles_to_unit(trial, m)
             y = y / (dual_norm(y, codomain) or 1.0)
             s = solve(y)
-            return (s.value if s.feasible else math.inf), y, s.x
+            return s.value, y, s.x
 
         for sweep in range(2):
             before = best_val
@@ -359,7 +342,7 @@ def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
 # ---------------------------------------------------------------------------
 
 def _witness_solve(sample: SampledGraph, pt: GraphPoint, eps_scale: float,
-                   dirs, test_radius: float, seed: int) -> tuple[MinNormCoderivative, float]:
+                   dirs, test_radius: float) -> tuple[MinNormCoderivative, float]:
     """Re-solve at a witness point over a ladder of epsilons, smallest first.
 
     The scale epsilon realizes the sup-inf trail, but harvested witnesses
@@ -368,15 +351,12 @@ def _witness_solve(sample: SampledGraph, pt: GraphPoint, eps_scale: float,
     whose curvature makes tiny epsilons infeasible at this radius.
     """
     for rung in (eps_scale * 4.0**-4, eps_scale * 4.0**-2, eps_scale):
-        res = min_coderivative_norm(sample, pt, rung, dirs, test_radius,
-                                    refine=False, seed=seed)
+        res = min_coderivative_norm(sample, pt, rung, dirs, test_radius, refine=False)
         if res.feasible and not res.low_confidence:
-            res = min_coderivative_norm(sample, pt, rung, dirs, test_radius,
-                                        refine=True, seed=seed)
+            res = min_coderivative_norm(sample, pt, rung, dirs, test_radius)
             if res.feasible:
                 return res, rung
-    res = min_coderivative_norm(sample, pt, eps_scale, dirs, test_radius,
-                                refine=True, seed=seed)
+    res = min_coderivative_norm(sample, pt, eps_scale, dirs, test_radius)
     return res, eps_scale
 
 
@@ -436,8 +416,7 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
                 local = _local_system_sample(F, pt, test_r, sample,
                                              schedule.samples_per_scale // 2,
                                              seed=schedule.seed + 101 * j + 7 * i + halving)
-                res = min_coderivative_norm(local, pt, eps, dirs, test_radius=test_r,
-                                            seed=schedule.seed + j)
+                res = min_coderivative_norm(local, pt, eps, dirs, test_radius=test_r)
                 if res.feasible:
                     break
             low_conf = low_conf or res.low_confidence
@@ -458,8 +437,7 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
         pool = offbase if offbase else near
         _, w_pt, w_sys, w_radius = min(
             pool, key=lambda t: abs(norm(t[1].x - base.x, domain) - delta / 4.0))
-        res, eps_w = _witness_solve(w_sys, w_pt, eps, dirs, w_radius,
-                                    seed=schedule.seed + j)
+        res, eps_w = _witness_solve(w_sys, w_pt, eps, dirs, w_radius)
         if res.feasible:
             raw_witnesses.append((w_pt, res.element, eps_w, delta, res.value))
 
@@ -498,9 +476,12 @@ class _PairEntry:
     ay: np.ndarray
 
 
-def _pair_ratio(F: MappingModel, x: np.ndarray, y: np.ndarray) -> float | None:
-    """Ratio d(y, F(x)) / d(x, F^{-1}(y)); None when the pair carries no information."""
-    den = F.inverse_distance(x, y)
+def _pair_ratio(F: MappingModel, x: np.ndarray, y: np.ndarray, anchors=()) -> float | None:
+    """Ratio d(y, F(x)) / d(x, F^{-1}(y)); None when the pair carries no information.
+
+    Anchors are root-finding starts, passed on only to mappings whose inverse
+    distance is not exact."""
+    den = F.inverse_distance(x, y, anchors=anchors) if anchors else F.inverse_distance(x, y)
     if den <= _POS_TOL:
         return None
     num = F.distance_to_image(x, y)
@@ -524,18 +505,9 @@ class _RatioPool:
 
     def add(self, x, y, anchors=(), ax=None, ay=None) -> _PairEntry | None:
         x, y = as_vector(x), as_vector(y)
-        if self.anchored:
-            den = self.F.inverse_distance(x, y, anchors=anchors)
-            if den <= _POS_TOL or math.isinf(den):
-                return None
-            num = self.F.distance_to_image(x, y)
-            if math.isinf(num):
-                return None
-            ratio = num / den
-        else:
-            ratio = _pair_ratio(self.F, x, y)
-            if ratio is None:
-                return None
+        ratio = _pair_ratio(self.F, x, y, anchors if self.anchored else ())
+        if ratio is None:
+            return None
         e = _PairEntry(x, y, ratio,
                        norm(x - self.base.x, self.F.domain),
                        norm(y - self.base.y, self.F.codomain),
@@ -908,7 +880,7 @@ def coderivative_shift_check(F: MappingModel, f, base: GraphPoint, eps: float,
         if done >= trials:
             break
         res = min_coderivative_norm(sample, base, eps1, [y_star], test_radius=radius,
-                                    refine=False, seed=seed)
+                                    refine=False)
         if not res.feasible or res.low_confidence:
             continue
         shifted = res.element.x_star + J.T @ y_star

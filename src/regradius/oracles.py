@@ -165,27 +165,11 @@ def brute_force_rg(F: MappingModel, xs, ys) -> float:
 
     Same definition as the estimator core, no shortcuts, independent code path.
     """
-    best = math.inf
-    for x in xs:
-        for y in ys:
-            den = F.inverse_distance(x, y)
-            if den <= 1e-14:
-                continue
-            num = F.distance_to_image(x, y)
-            if math.isinf(num):
-                continue
-            if math.isinf(den):
-                if F.exact_inverse and num > 1e-12:
-                    return 0.0
-                continue
-            ratio = num / den
-            if ratio < best:
-                best = ratio
-    return best
+    return brute_force_rg_pairs(F, ((x, y) for x in xs for y in ys))
 
 
 def brute_force_rg_pairs(F: MappingModel, pairs) -> float:
-    """As brute_force_rg, but over an explicit list of (x, y) pairs."""
+    """Reference regularity-ratio infimum over an explicit list of (x, y) pairs."""
     best = math.inf
     for x, y in pairs:
         den = F.inverse_distance(x, y)

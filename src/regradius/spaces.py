@@ -61,7 +61,8 @@ class ProductNormSpec:
 
 
 def as_vector(v) -> np.ndarray:
-    return np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim else v.reshape(1)
 
 
 def _check_dimension(v: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -74,15 +75,17 @@ def _check_dimension(v: np.ndarray, spec: NormSpec) -> np.ndarray:
 
 
 def _p_norm(v: np.ndarray, p: float) -> float:
+    # ndarray methods run the same reductions as np.sum / np.max without their
+    # per-call dispatch; a destabilization certificate makes millions of calls
     if p == 1.0:
-        return float(np.sum(np.abs(v)))
+        return float(np.abs(v).sum())
     if p == 2.0:
-        m = float(np.max(np.abs(v))) if v.size else 0.0
+        m = float(np.abs(v).max()) if v.size else 0.0
         if m == 0.0 or not math.isfinite(m):
             return m
         w = v / m  # scale so the sum of squares cannot underflow to zero
-        return m * float(np.sqrt(np.sum(w * w)))
-    return float(np.max(np.abs(v))) if v.size else 0.0
+        return m * math.sqrt(float((w * w).sum()))
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def norm(v, spec: NormSpec) -> float:

@@ -65,6 +65,14 @@ def test_inverse_distance_underdetermined_p2_and_p1():
     assert abs(F.inverse_distance([0.0, 0.0], [1.0]) - 1.0) < 1e-10
     F1 = rr.LinearMapping([[1.0, 0.0]], domain=rr.NormSpec(2, 1), codomain=rr.NormSpec(1, 1))
     assert abs(F1.inverse_distance([0.0, 2.0], [1.0]) - 1.0) < 1e-6
+    # A = [2 0.5]: d(x, A^-1(y)) is |r| / 2 under l1 and |r| / 2.5 under l_inf, r = Ax - y
+    x = np.array([0.3, -0.4])
+    for p, gain in ((1.0, 2.0), (math.inf, 2.5)):
+        Fp = rr.LinearMapping([[2.0, 0.5]], domain=rr.NormSpec(2, p), codomain=rr.NormSpec(1, 1))
+        for sep in (1e-3, 1e-4, 1e-5):
+            y = Fp.matrix @ x + sep
+            r = float(abs(Fp.matrix @ x - y)[0])
+            assert Fp.inverse_distance(x, y) == pytest.approx(r / gain, rel=1e-9)
 
 
 def test_sample_graph_identity():

@@ -38,6 +38,12 @@ def test_modulus_estimate_inf_serialization():
     doc = est.to_json()
     assert doc["value"] == "inf"
     assert ModulusEstimate.from_json(doc).value == math.inf
+    assert doc["low_confidence"] is False
+    flagged = ModulusEstimate(0.0, ((0.5, 0.0), (0.25, 0.0), (0.1, 0.0)), True,
+                              kind="rg_plus", low_confidence=True)
+    doc = flagged.to_json()
+    assert doc["low_confidence"] is True
+    assert ModulusEstimate.from_json(doc, kind="rg_plus").low_confidence
 
 
 def _identity_sample(n=1, radius=0.5, budget=80, seed=0):
@@ -163,6 +169,25 @@ def test_rg_plus_witnesses_recorded_per_scale():
     assert all(b < a for a, b in zip(eps, eps[1:]))
     for w in est.witnesses:
         assert rr.dual_norm(w.x_star, rr.NormSpec(2)) == pytest.approx(0.5, rel=0.10)
+
+
+POLYHEDRAL_A = np.array([[2.0, 0.3], [-0.2, 0.6]])
+
+
+def _polyhedral_schedule():
+    radii = (0.3, 0.12, 0.048)
+    return rr.ScaleSchedule(radii=radii, epsilons=tuple(0.02 * r for r in radii),
+                            samples_per_scale=40, eval_points=1, directions=2)
+
+
+@pytest.mark.parametrize("domain_p, range_p", [(1.0, math.inf), (math.inf, 1.0)])
+def test_rg_and_rg_plus_under_polyhedral_norms(domain_p, range_p):
+    domain, codomain = rr.NormSpec(2, domain_p), rr.NormSpec(2, range_p)
+    F = rr.LinearMapping(POLYHEDRAL_A, domain, codomain)
+    exact = 1.0 / rr.operator_norm(np.linalg.inv(POLYHEDRAL_A), codomain, domain)
+    for estimator in (rr.rg_estimate, rr.rg_plus_estimate):
+        est = estimator(F, origin(2), _polyhedral_schedule())
+        assert est.value == pytest.approx(exact, rel=0.10)
 
 
 def test_lip_estimate_linear():
