@@ -7,6 +7,7 @@ from .spaces import (
     NormSpec,
     ProductNormSpec,
     norm,
+    norms,
     dual_norm,
     pairing,
     pair_norm_primal,

@@ -21,14 +21,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import moduli, radius
 from .mappings import GraphPoint, load_mapping, load_perturbation_function
-from .spaces import NormSpec
+from .spaces import VALID_EXPONENTS, NormSpec
 
 log = logging.getLogger("regradius")
 
 _TASK_NAMES = {"rg", "rg_plus", "bounds", "destabilize", "interpolate",
                "lyusternik_graves", "strong_check"}
+
+
+#: what building a value from a malformed config field raises
+_FIELD_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
 
 
 class ConfigError(ValueError):
@@ -61,84 +67,82 @@ def _parse_p(value, errors: list[str], label: str) -> float:
         return math.inf
     try:
         p = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{label}: invalid norm exponent {value!r}")
         return 2.0
-    if p not in (1.0, 2.0, math.inf):
+    if p not in VALID_EXPONENTS:
         errors.append(f"{label}: norm exponent must be 1, 2 or 'inf'")
         return 2.0
     return p
 
 
+def _section(doc: dict, key: str, errors: list[str]) -> dict:
+    """An optional object-valued field; anything but an object or null is an error."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        errors.append(f"{key}: must be an object")
+        return {}
+    return value
+
+
 def parse_config(text) -> ExperimentConfig:
     """Validate a JSON config document; raises ConfigError listing every problem."""
     if isinstance(text, (str, bytes)):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError([f"not valid JSON: {exc}"]) from None
     else:
-        doc = dict(text)
+        doc = text
+    if not isinstance(doc, dict):
+        raise ConfigError(["the top level must be an object"])
     errors: list[str] = []
 
-    base_doc = doc.get("base_point") or {}
+    base_doc = _section(doc, "base_point", errors)
     try:
         base = GraphPoint(base_doc.get("x", [0.0]), base_doc.get("y", [0.0]))
-    except Exception as exc:  # noqa: BLE001 - collected as a field error
+        if any(v.ndim != 1 or not v.size or not np.isfinite(v).all() for v in (base.x, base.y)):
+            raise ValueError("x and y must be nonempty lists of finite numbers")
+    except _FIELD_ERRORS as exc:
         errors.append(f"base_point: {exc}")
         base = GraphPoint([0.0], [0.0])
 
-    norms = doc.get("norms") or {}
-    domain = NormSpec(base.x.size, _parse_p(norms.get("domain_p", 2), errors, "norms.domain_p"))
-    codomain = NormSpec(base.y.size, _parse_p(norms.get("range_p", 2), errors, "norms.range_p"))
+    norm_doc = _section(doc, "norms", errors)
+    domain = NormSpec(base.x.size, _parse_p(norm_doc.get("domain_p", 2), errors, "norms.domain_p"))
+    codomain = NormSpec(base.y.size, _parse_p(norm_doc.get("range_p", 2), errors, "norms.range_p"))
 
     mapping_doc = doc.get("mapping")
-    if not isinstance(mapping_doc, dict):
-        errors.append("mapping: missing or not an object")
-        mapping_doc = {"kind": "smooth-builtin", "builtin": "identity"}
-    else:
-        kind = mapping_doc.get("kind")
-        if kind == "linear":
-            matrix = mapping_doc.get("matrix")
-            if not matrix:
-                errors.append("mapping.matrix: required for linear mappings")
-            else:
-                rows = len(matrix)
-                cols = len(matrix[0]) if rows else 0
-                if rows != codomain.dimension or cols != domain.dimension:
-                    errors.append(
-                        f"mapping.matrix: shape {rows}x{cols} does not match "
-                        f"base point dimensions {codomain.dimension}x{domain.dimension}"
-                    )
-        elif kind == "smooth-builtin":
-            if mapping_doc.get("builtin") not in ("identity", "abs-branches", "parabola"):
-                errors.append(f"mapping.builtin: unknown builtin {mapping_doc.get('builtin')!r}")
-        elif kind not in ("graph", "perturbed"):
-            errors.append(f"mapping.kind: unknown kind {kind!r}")
+    try:
+        load_mapping(mapping_doc, domain, codomain)
+    except KeyError as exc:
+        errors.append(f"mapping: missing field {exc}")
+    except _FIELD_ERRORS as exc:
+        errors.append(f"mapping: {exc}")
 
-    sched_doc = doc.get("schedule") or {}
+    sched_doc = _section(doc, "schedule", errors)
     schedule = None
     try:
+        rest = {k: v for k, v in sched_doc.items() if k != "geometric"}
         if "geometric" in sched_doc:
-            g = dict(sched_doc["geometric"])
-            extra = {k: v for k, v in sched_doc.items() if k != "geometric"}
-            schedule = moduli.ScaleSchedule.geometric(**g, **extra)
+            if not isinstance(sched_doc["geometric"], dict):
+                raise TypeError("geometric must be an object")
+            schedule = moduli.ScaleSchedule.geometric(**sched_doc["geometric"], **rest)
+        elif not sched_doc.get("radii"):
+            errors.append("schedule.radii: required")
         else:
-            radii = sched_doc.get("radii")
-            if not radii:
-                errors.append("schedule.radii: required")
-            else:
-                eps = sched_doc.get("epsilons", radii)
-                kw = {k: sched_doc[k] for k in
-                      ("samples_per_scale", "directions", "eval_points",
-                       "refine_rounds", "refine_samples") if k in sched_doc}
-                schedule = moduli.ScaleSchedule(tuple(radii), tuple(eps), **kw)
-    except ValueError as exc:
+            radii = rest.pop("radii")
+            schedule = moduli.ScaleSchedule(tuple(radii), tuple(rest.pop("epsilons", radii)), **rest)
+    except _FIELD_ERRORS as exc:
         errors.append(f"schedule: {exc}")
     if schedule is None:
         schedule = moduli.ScaleSchedule.geometric(5)
 
     tasks: list[TaskSpec] = []
     raw_tasks = doc.get("tasks")
-    if not raw_tasks:
-        errors.append("tasks: at least one task required")
+    if not raw_tasks or not isinstance(raw_tasks, list):
+        errors.append("tasks: a nonempty list of tasks required")
         raw_tasks = []
     for i, t in enumerate(raw_tasks):
         if isinstance(t, str):
@@ -149,21 +153,27 @@ def parse_config(text) -> ExperimentConfig:
         else:
             errors.append(f"tasks[{i}]: must be a string or object")
             continue
-        if name not in _TASK_NAMES:
+        if not isinstance(name, str) or name not in _TASK_NAMES:
             errors.append(f"tasks[{i}]: unknown task name {name!r}")
             continue
         if name == "interpolate":
             if "r" not in params:
                 errors.append(f"tasks[{i}]: interpolate requires field 'r'")
-            elif not isinstance(params["r"], (int, float)) or params["r"] < 0:
+            elif not isinstance(params["r"], (int, float)) or not params["r"] >= 0:
                 errors.append(f"tasks[{i}]: r must be a nonnegative number")
+        if name == "strong_check":
+            ball, grid = params.get("radius", 1.0), params.get("grid", 24)
+            if not isinstance(ball, (int, float)) or not ball > 0:
+                errors.append(f"tasks[{i}]: radius must be a positive number")
+            if not isinstance(grid, int) or grid < 1:
+                errors.append(f"tasks[{i}]: grid must be a positive integer")
         if name == "lyusternik_graves":
             if "f" not in params:
                 errors.append(f"tasks[{i}]: lyusternik_graves requires a perturbation spec 'f'")
             else:
                 try:
                     load_perturbation_function(params["f"], domain, codomain)
-                except Exception as exc:  # noqa: BLE001
+                except _FIELD_ERRORS as exc:
                     errors.append(f"tasks[{i}].f: {exc}")
         tasks.append(TaskSpec(name, params))
 
@@ -175,11 +185,14 @@ def parse_config(text) -> ExperimentConfig:
     if not isinstance(K, int) or K < 3:
         errors.append("K: must be an integer >= 3")
         K = 8
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        errors.append("output: must be a string")
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(mapping_doc, base, domain, codomain, schedule,
-                            tuple(tasks), K, seed, doc.get("output"))
+                            tuple(tasks), K, seed, output)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +336,8 @@ def main(argv=None) -> int:
         return 4
     try:
         config = parse_config(text)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        errors = getattr(exc, "errors", [str(exc)])
-        for e in errors:
+    except ConfigError as exc:
+        for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .spaces import (
     as_vector,
     generator,
     norm,
+    norms,
     pair_norm_primal,
 )
 
@@ -69,22 +71,22 @@ class SampledGraph:
     spaces: ProductNormSpec
 
     def __post_init__(self):
-        if not any(p.same_as(self.base) for p in self.points):
-            raise ValueError("base point must be contained in the sample")
-        seen = set()
-        slack = self.radius * (1.0 + 1e-9) + 1e-15
-        for p in self.points:
-            key = (p.x.tobytes(), p.y.tobytes())
-            if key in seen:
-                raise ValueError("sample contains exact duplicates")
-            seen.add(key)
-            d = pair_norm_primal(p.x - self.base.x, p.y - self.base.y, self.spaces)
-            if d > slack:
-                raise ValueError(f"sample point at pair-distance {d} exceeds radius {self.radius}")
-        xs = np.array([p.x for p in self.points])
-        ys = np.array([p.y for p in self.points])
+        left, right = self.spaces.left, self.spaces.right
+        if self.base.x.shape != (left.dimension,) or self.base.y.shape != (right.dimension,):
+            raise DimensionMismatchError("base point does not match the product spaces")
+        n = len(self.points)
+        xs = np.array([p.x for p in self.points]).reshape(n, left.dimension)
+        ys = np.array([p.y for p in self.points]).reshape(n, right.dimension)
         object.__setattr__(self, "_xs", _readonly(xs))
         object.__setattr__(self, "_ys", _readonly(ys))
+        if not self.matches(self.base).any():
+            raise ValueError("base point must be contained in the sample")
+        if len({row.tobytes() for row in np.hstack([self._xs, self._ys])}) < n:
+            raise ValueError("sample contains exact duplicates")
+        d = self.pair_distances_to(self.base)
+        far = ~(d <= self.radius * (1.0 + 1e-9) + 1e-15)
+        if far.any():
+            raise ValueError(f"sample point at pair-distance {d[far][0]} exceeds radius {self.radius}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -94,25 +96,19 @@ class SampledGraph:
     def ys(self) -> np.ndarray:
         return self._ys
 
+    def matches(self, at: GraphPoint) -> np.ndarray:
+        """Mask of the sample points equal to `at`."""
+        return (self._xs == at.x).all(axis=1) & (self._ys == at.y).all(axis=1)
+
     def pair_distances_to(self, at: GraphPoint) -> np.ndarray:
-        dx = self._xs - at.x
-        dy = self._ys - at.y
-        p, r = self.spaces.left.p, self.spaces.right.p
-
-        def _rows(m, e):
-            if e == 1.0:
-                return np.abs(m).sum(axis=1)
-            if e == 2.0:
-                return np.sqrt((m * m).sum(axis=1))
-            return np.abs(m).max(axis=1)
-
-        return _rows(dx, p) + _rows(dy, r)
+        """Pair-norm distance of every sample point to `at`, as pair_norm_primal computes it."""
+        return norms(self._xs - at.x, self.spaces.left) + norms(self._ys - at.y, self.spaces.right)
 
     def index_of(self, at: GraphPoint) -> int:
-        for i, p in enumerate(self.points):
-            if p.same_as(at):
-                return i
-        raise ValueError("point is not part of this sample")
+        hits = np.flatnonzero(self.matches(at))
+        if not hits.size:
+            raise ValueError("point is not part of this sample")
+        return int(hits[0])
 
 
 class MappingModel:
@@ -263,21 +259,20 @@ class FiniteGraphMapping(MappingModel):
         self.graph = graph
         self.tol = 1e-9 * (1.0 + graph.radius)
 
+    def _slice(self, y) -> np.ndarray:
+        """Mask of the stored points whose value lies within the band around y."""
+        return norms(self.graph.ys - as_vector(y), self.codomain) <= self.tol
+
     def images(self, x) -> list[np.ndarray]:
-        x = as_vector(x)
-        return [p.y.copy() for p in self.graph.points if norm(p.x - x, self.domain) <= self.tol]
+        g = self.graph
+        return list(g.ys[norms(g.xs - as_vector(x), self.domain) <= self.tol])
 
     def inverse_distance(self, x, y) -> float:
-        x, y = as_vector(x), as_vector(y)
-        best = math.inf
-        for p in self.graph.points:
-            if norm(p.y - y, self.codomain) <= self.tol:
-                best = min(best, norm(p.x - x, self.domain))
-        return best
+        xs = self.graph.xs[self._slice(y)]
+        return float(norms(xs - as_vector(x), self.domain).min()) if len(xs) else math.inf
 
     def inverse_points(self, y) -> list[np.ndarray]:
-        y = as_vector(y)
-        return [p.x.copy() for p in self.graph.points if norm(p.y - y, self.codomain) <= self.tol]
+        return list(self.graph.xs[self._slice(y)])
 
 
 class PerturbedMapping(MappingModel):
@@ -391,16 +386,9 @@ def sample_graph(F: MappingModel, center: GraphPoint, radius: float, budget: int
     spec = F.product_spec
     if isinstance(F, FiniteGraphMapping):
         # a stored graph is its own sample: restrict to the requested ball
-        pts = [center]
-        seen0 = {(center.x.tobytes(), center.y.tobytes())}
-        for p in F.graph.points:
-            key = (p.x.tobytes(), p.y.tobytes())
-            if key in seen0:
-                continue
-            if pair_norm_primal(p.x - center.x, p.y - center.y, spec) <= radius:
-                seen0.add(key)
-                pts.append(p)
-        return SampledGraph(center, tuple(pts), radius, spec)
+        g = F.graph
+        inside = (g.pair_distances_to(center) <= radius) & ~g.matches(center)
+        return SampledGraph(center, (center, *compress(g.points, inside)), radius, spec)
     rng = generator(seed, 0x9A11)
     n = F.domain.dimension
     n_shells = 7
@@ -417,8 +405,7 @@ def sample_graph(F: MappingModel, center: GraphPoint, radius: float, budget: int
         # from collapsing onto the dyadic radii alone
         vs = rng.standard_normal((per_shell, n))
         radii = r * (0.5 + 0.5 * rng.random(per_shell))
-        for v, rv in zip(vs, radii):
-            nv = norm(v, F.domain)
+        for v, nv, rv in zip(vs, norms(vs, F.domain), radii):
             if nv < 1e-12:
                 continue
             step = v / nv * rv
@@ -507,9 +494,14 @@ BUILTIN_SMOOTH = {
 
 def load_mapping(doc: dict, domain: NormSpec, codomain: NormSpec) -> MappingModel:
     """Build a MappingModel from its JSON document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a mapping must be an object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "linear":
-        return LinearMapping(doc["matrix"], domain, codomain)
+        A = np.asarray(doc["matrix"], dtype=float)
+        if A.ndim != 2 or not np.isfinite(A).all():
+            raise ValueError("matrix must be a list of rows of finite numbers")
+        return LinearMapping(A, domain, codomain)
     if kind == "smooth-builtin":
         name = doc.get("builtin")
         if name not in BUILTIN_SMOOTH:
@@ -531,6 +523,8 @@ def load_mapping(doc: dict, domain: NormSpec, codomain: NormSpec) -> MappingMode
 
 def load_perturbation_function(doc: dict, domain: NormSpec, codomain: NormSpec):
     """Perturbation function specs used by configs: zero, linear, or sine."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a perturbation must be an object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "zero":
         m = codomain.dimension

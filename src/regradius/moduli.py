@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .spaces import (
     dual_norm,
     generator,
     norm,
+    norms,
     sphere_grid,
 )
 
@@ -61,9 +63,17 @@ class ScaleSchedule:
             raise ValueError("epsilons must be nonnegative and nonincreasing")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        lows = {"samples_per_scale": 1, "directions": 1, "eval_points": 1,
+                "refine_samples": 1, "refine_rounds": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
 
     @classmethod
     def geometric(cls, levels: int = 9, first: float = 0.45, ratio: float = 0.4, **kw) -> "ScaleSchedule":
+        if not first * ratio ** (levels - 1) > 0.0:  # before a huge `levels` builds its tuple
+            raise ValueError("radii must be positive and strictly decreasing")
         radii = tuple(first * ratio**j for j in range(levels))
         return cls(radii=radii, epsilons=radii, **kw)
 
@@ -165,15 +175,10 @@ def eps_normal_test(sample: SampledGraph, at: GraphPoint, w_pair, eps: float,
     sample.index_of(at)  # raises when `at` is not in the sample
     wx, wy = as_vector(w_pair[0]), as_vector(w_pair[1])
     dists = sample.pair_distances_to(at)
-    for i, p in enumerate(sample.points):
-        if p.same_as(at):
-            continue
-        r = dists[i]
-        if r <= 0.0 or r > test_radius:
-            continue
-        if float(np.dot(wx, p.x - at.x) + np.dot(wy, p.y - at.y)) > (eps - MEMBERSHIP_SLACK) * r:
-            return False
-    return True
+    # points equal to `at` sit at distance 0 and drop out with it
+    near = (dists > 0.0) & (dists <= test_radius)
+    growth = (sample.xs[near] - at.x) @ wx + (sample.ys[near] - at.y) @ wy
+    return not (growth > (eps - MEMBERSHIP_SLACK) * dists[near]).any()
 
 
 def coderivative_membership(sample: SampledGraph, at: GraphPoint, y_star, x_star,
@@ -253,15 +258,13 @@ _CONSTRAINT_CAP = 96
 
 def _neighbor_system(sample: SampledGraph, at: GraphPoint, test_radius: float):
     """Constraint data (G, V, r) from neighbors of `at` within test_radius."""
-    idx = sample.index_of(at)
+    sample.index_of(at)  # raises when `at` is not in the sample
     dists = sample.pair_distances_to(at)
-    keep = [i for i in range(len(sample.points))
-            if i != idx and 0.0 < dists[i] <= test_radius]
+    keep = np.flatnonzero((dists > 0.0) & (dists <= test_radius))
     if len(keep) > _CONSTRAINT_CAP:
-        keep.sort(key=lambda i: dists[i])
-        stride = len(keep) / _CONSTRAINT_CAP
-        keep = [keep[int(k * stride)] for k in range(_CONSTRAINT_CAP)]
-    if not keep:
+        keep = keep[np.argsort(dists[keep], kind="stable")]
+        keep = keep[(np.arange(_CONSTRAINT_CAP) * (len(keep) / _CONSTRAINT_CAP)).astype(int)]
+    if not len(keep):
         return None
     G = sample.xs[keep] - at.x
     V = sample.ys[keep] - at.y
@@ -370,15 +373,9 @@ def _local_system_sample(F: MappingModel, pt: GraphPoint, radius: float,
     """
     local = sample_graph(F, pt, radius, budget, seed=seed)
     seen = {(p.x.tobytes(), p.y.tobytes()) for p in local.points}
-    merged = list(local.points)
-    dists = global_sample.pair_distances_to(pt)
-    for i, p in enumerate(global_sample.points):
-        if dists[i] <= radius:
-            key = (p.x.tobytes(), p.y.tobytes())
-            if key not in seen:
-                seen.add(key)
-                merged.append(p)
-    return SampledGraph(pt, tuple(merged), radius, global_sample.spaces)
+    nearby = compress(global_sample.points, global_sample.pair_distances_to(pt) <= radius)
+    merged = local.points + tuple(p for p in nearby if (p.x.tobytes(), p.y.tobytes()) not in seen)
+    return SampledGraph(pt, merged, radius, global_sample.spaces)
 
 
 def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule) -> ModulusEstimate:
@@ -546,30 +543,24 @@ def _branch_following_jacobian(F: MappingModel, x: np.ndarray, h: float) -> np.n
     return J
 
 
-def _ring_grid(domain: NormSpec, delta: float, rng) -> list[np.ndarray]:
-    """Deterministic ring sweep of the ball; ring ratio and angular density are
-    chosen so any substructure region of radius >= 1/8 of its center distance
-    intersects at least one ring point."""
+def _ring_grid(domain: NormSpec, delta: float, rng) -> np.ndarray:
+    """Deterministic ring sweep of the ball (one offset per row); ring ratio
+    and angular density are chosen so any substructure region of radius
+    >= 1/8 of its center distance intersects at least one ring point."""
     n = domain.dimension
     radii = [delta * 0.06 * 1.32**i for i in range(11) if delta * 0.06 * 1.32**i <= 0.9 * delta]
     if n == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
+        dirs = np.array([[1.0], [-1.0]])
     elif n == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, 28, endpoint=False)
-        dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+        dirs = np.array([[np.cos(a), np.sin(a)] for a in angles])
     else:
         raw = rng.standard_normal((24 * n, n))
-        dirs = []
-        for v in raw:
-            nv = norm(v, domain)
-            if nv > 1e-12:
-                dirs.append(v / nv)
-    out = []
-    for r in radii:
-        for d in dirs:
-            nd = norm(d, domain)
-            out.append(r / nd * d)
-    return out
+        lengths = norms(raw, domain)
+        keep = lengths > 1e-12
+        dirs = raw[keep] / lengths[keep, None]
+    lengths = norms(dirs, domain)
+    return np.vstack([(r / lengths)[:, None] * dirs for r in radii])
 
 
 def _graph_pairs(points, base, rng, cap):
@@ -612,8 +603,9 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
         # the pair-norm sampling ball of radius 2*delta covers the product of
         # the two delta-balls that gate regularity pairs
         sample = sample_graph(F, base, 2.0 * delta, budget, seed=schedule.seed + 37 * j)
-        in_ball = [p for p in sample.points
-                   if norm(p.x - base.x, domain) <= delta and norm(p.y - base.y, codomain) <= delta]
+        in_ball = list(compress(sample.points,
+                                (norms(sample.xs - base.x, domain) <= delta)
+                                & (norms(sample.ys - base.y, codomain) <= delta)))
 
         # graph-anchored ratio pairs
         for i, k in _graph_pairs(in_ball, base, rng, cap=budget // 2):
@@ -650,9 +642,10 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
         # minimal-gain direction (deterministic detection of narrow dips)
         if not discrete and domain.dimension <= 4 and codomain.dimension <= 4:
             scan: list[tuple[float, np.ndarray, np.ndarray, float]] = []
-            for off in _ring_grid(domain, delta, rng):
+            offsets = _ring_grid(domain, delta, rng)
+            steps = np.maximum(norms(offsets, domain), delta / 64.0) * 0.02
+            for off, h in zip(offsets, steps.tolist()):
                 x = base.x + off
-                h = max(norm(off, domain), delta / 64.0) * 0.02
                 J = _branch_following_jacobian(F, x, h)
                 if J is None:
                     continue
@@ -732,12 +725,11 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
             best = anchors_list[0]
             jx = best.x + ball_sample(domain, rad, n_ref // 3, rng)
             if discrete:
-                jy = [best.y] * (n_ref // 3)
+                jy = np.tile(best.y, (n_ref // 3, 1))
             else:
                 jy = best.ay + ball_sample(codomain, rad, n_ref // 3, rng)
-            for x, y in zip(jx, jy):
-                if norm(x - base.x, domain) > delta or norm(y - base.y, codomain) > delta:
-                    continue
+            inside = (norms(jx - base.x, domain) <= delta) & (norms(jy - base.y, codomain) <= delta)
+            for x, y in compress(zip(jx, jy), inside):
                 pool.add(x, y, anchors=(best.x,))
 
     per_scale = []

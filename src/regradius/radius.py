@@ -12,7 +12,7 @@ import numpy as np
 
 from . import moduli, perturbation
 from .mappings import GraphPoint, MappingModel, add_perturbation, sample_graph
-from .spaces import as_vector, ball_sample, generator, norm
+from .spaces import as_vector, ball_sample, generator, norm, norms
 
 #: relative tolerance for the near-equality flag between the two bounds
 BOUND_EQUALITY_REL = 0.10
@@ -171,18 +171,16 @@ def strong_regularity_localization_check(F: MappingModel, base: GraphPoint,
     sample = sample_graph(F, base, 2.0 * radius, max(grid * 6, 400), seed=seed)
     rng = generator(seed, 0x51)
     ys: list[np.ndarray] = []
-    in_ball = [p for p in sample.points if norm(p.y - base.y, F.codomain) <= radius]
+    in_ball = sample.ys[norms(sample.ys - base.y, F.codomain) <= radius]
     for _ in range(grid):
-        if in_ball and rng.random() < 0.7:
-            ys.append(in_ball[int(rng.integers(0, len(in_ball)))].y)
+        if len(in_ball) and rng.random() < 0.7:
+            ys.append(in_ball[int(rng.integers(0, len(in_ball)))])
         else:
             ys.append(base.y + ball_sample(F.codomain, radius, 1, rng)[0])
+    x_near = norms(sample.xs - base.x, F.domain) <= radius
     for y in ys:
-        xs = [p.x for p in sample.points
-              if norm(p.y - y, F.codomain) <= band and norm(p.x - base.x, F.domain) <= radius]
-        if len(xs) < 2:
-            continue
-        diam = max(norm(a - b, F.domain) for i, a in enumerate(xs) for b in xs[i + 1:])
-        if diam > cluster_tol:
+        xs = sample.xs[(norms(sample.ys - y, F.codomain) <= band) & x_near]
+        i, j = np.triu_indices(len(xs), 1)
+        if len(i) and norms(xs[i] - xs[j], F.domain).max() > cluster_tol:
             return False
     return True

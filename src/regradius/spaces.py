@@ -93,6 +93,26 @@ def norm(v, spec: NormSpec) -> float:
     return _p_norm(_check_dimension(v, spec), spec.p)
 
 
+def norms(rows, spec: NormSpec) -> np.ndarray:
+    """p-norm of each row of a 2-D array; entry i equals ``norm(rows[i], spec)`` bit for bit."""
+    # _p_norm row by row; a row sum adds in the order of a 1-D sum only while
+    # the rows are C-contiguous
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != spec.dimension:
+        raise DimensionMismatchError(
+            f"expected rows of length {spec.dimension}, got shape {rows.shape}"
+        )
+    a = np.abs(rows)
+    if spec.p == 1.0:
+        return a.sum(axis=1)
+    m = a.max(axis=1)
+    if spec.p == 2.0:
+        ok = (m > 0.0) & np.isfinite(m)
+        w = rows[ok] / m[ok, None]
+        m[ok] *= np.sqrt((w * w).sum(axis=1))
+    return m
+
+
 def dual_norm(v_star, spec: NormSpec) -> float:
     """Norm of a dual vector: the q-norm with q conjugate to spec.p."""
     return _p_norm(_check_dimension(v_star, spec), spec.q)
@@ -116,12 +136,8 @@ def pair_norm_dual(x_star, y_star, spec: ProductNormSpec) -> float:
 def distance_to_set(y, S, spec: NormSpec) -> float:
     """min_{s in S} ||y - s||; +inf for an empty set (inf over the empty set)."""
     y = _check_dimension(y, spec)
-    best = math.inf
-    for s in S:
-        d = _p_norm(_check_dimension(s, spec) - y, spec.p)
-        if d < best:
-            best = d
-    return best
+    rows = [_check_dimension(s, spec) for s in S]
+    return float(norms(np.array(rows) - y, spec).min()) if rows else math.inf
 
 
 def generator(*keys: int) -> np.random.Generator:
@@ -165,7 +181,7 @@ def ball_sample(spec: NormSpec, radius: float, count: int, rng: np.random.Genera
     """Seeded points in the closed p-ball of given radius (rows of the result)."""
     d = spec.dimension
     dirs = rng.standard_normal((count, d))
-    norms = np.array([_p_norm(row, spec.p) for row in dirs])
-    norms[norms < 1e-12] = 1.0
+    lengths = norms(dirs, spec)
+    lengths[lengths < 1e-12] = 1.0
     radii = radius * rng.random(count) ** (1.0 / d)
-    return dirs / norms[:, None] * radii[:, None]
+    return dirs / lengths[:, None] * radii[:, None]

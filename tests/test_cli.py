@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regradius.cli import ConfigError, main, parse_config, run_experiment
+from regradius.cli import ConfigError, ExperimentConfig, main, parse_config, run_experiment
 
 
 def minimal_config(**overrides):
@@ -93,3 +96,96 @@ def test_main_validate_and_parse_error(tmp_path, capsys):
 
 def test_main_missing_file():
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 4
+
+
+def _with(doc, path, value):
+    """Copy of a config document with the field at `path` replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_POINT = {"x": [0.0], "y": [0.0]}
+
+MALFORMED = {
+    "matrix-scalar": _with(minimal_config(), ["mapping"], {"kind": "linear", "matrix": 5}),
+    "levels-float": _with(minimal_config(), ["schedule", "geometric", "levels"], 2.5),
+    "levels-string": _with(minimal_config(), ["schedule", "geometric", "levels"], "5"),
+    "unknown-schedule-key": _with(minimal_config(), ["schedule", "refine_round"], 5),
+    "geometric-scalar": _with(minimal_config(), ["schedule", "geometric"], 5),
+    "norms-list": _with(minimal_config(), ["norms"], [2, 2]),
+    "top-level-list": [minimal_config()],
+    "matrix-nan": _with(minimal_config(), ["mapping"], {"kind": "linear", "matrix": [[math.nan]]}),
+    "graph-without-points": _with(minimal_config(), ["mapping"],
+                                  {"kind": "graph", "base": _POINT, "radius": 1.0}),
+    "perturbed-without-base": _with(minimal_config(), ["mapping"],
+                                    {"kind": "perturbed", "base_point": _POINT,
+                                     "f": {"kind": "zero"}}),
+    "zero-samples-per-scale": _with(minimal_config(), ["schedule", "samples_per_scale"], 0),
+    "strong-check-grid-string": minimal_config(tasks=[{"name": "strong_check", "grid": "24"}]),
+    "strong-check-negative-radius": minimal_config(tasks=[{"name": "strong_check", "radius": -1}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_is_a_config_error(name, tmp_path, capsys):
+    text = json.dumps(MALFORMED[name])
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+_VALID = [
+    minimal_config(),
+    minimal_config(mapping={"kind": "linear", "matrix": [[2.0]]},
+                   tasks=[{"name": "interpolate", "r": 0.5}, "strong_check"]),
+    minimal_config(mapping={"kind": "graph", "base": _POINT, "radius": 1.0,
+                            "points": [_POINT, {"x": [0.2], "y": [0.2]}]},
+                   schedule={"radii": [0.5, 0.2, 0.1], "epsilons": [0.01, 0.004, 0.002]}),
+    minimal_config(mapping={"kind": "perturbed", "base": {"kind": "linear", "matrix": [[1.0]]},
+                            "base_point": _POINT, "f": {"kind": "sine", "amplitude": 0.1,
+                                                        "frequency": 2.0}},
+                   tasks=[{"name": "lyusternik_graves", "f": {"kind": "linear",
+                                                              "matrix": [[0.1]]}}]),
+]
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _assert_parses_or_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_any_json_value_parses_or_is_a_config_error(value):
+    _assert_parses_or_config_error(json.dumps(value))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_VALID), st.data(), _JSON)
+def test_any_field_replaced_parses_or_is_a_config_error(doc, data, value):
+    path = data.draw(st.sampled_from([p for p in _paths(doc) if p]))
+    _assert_parses_or_config_error(json.dumps(_with(doc, path, value)))

@@ -178,6 +178,32 @@ def test_finite_graph_slices_and_inverse():
     )
     assert FG.inverse_distance(x, y) == expected
     assert FG.inverse_distance(x, np.array([99.0])) == math.inf
+    # a 2-D stored graph with two branches: two images per x, two preimages per y
+    B = rr.load_mapping({"kind": "smooth-builtin", "builtin": "abs-branches"},
+                        rr.NormSpec(2), rr.NormSpec(2, 1))
+    g2 = rr.sample_graph(B, origin(2), 0.5, 60, seed=4)
+    FG2 = rr.FiniteGraphMapping(g2)
+    for p in g2.points:
+        images = [q.y for q in g2.points if rr.norm(q.x - p.x, FG2.domain) <= FG2.tol]
+        preimages = [q.x for q in g2.points if rr.norm(q.y - p.y, FG2.codomain) <= FG2.tol]
+        assert len(FG2.images(p.x)) == len(images)
+        assert all(np.array_equal(a, b) for a, b in zip(FG2.images(p.x), images))
+        assert len(FG2.inverse_points(p.y)) == len(preimages)
+        assert all(np.array_equal(a, b) for a, b in zip(FG2.inverse_points(p.y), preimages))
+        x = p.x + 0.01
+        assert FG2.inverse_distance(x, p.y) == min(rr.norm(u - x, FG2.domain) for u in preimages)
+    assert max(len(FG2.images(p.x)) for p in g2.points) == 2
+    assert max(len(FG2.inverse_points(p.y)) for p in g2.points) == 2
+    assert FG2.images([0.3, 0.3]) == [] and FG2.inverse_points([9.0, 9.0]) == []
+
+
+def test_pair_distances_resolve_tiny_separations():
+    spec = rr.ProductNormSpec(rr.NormSpec(2), rr.NormSpec(2))
+    near = rr.GraphPoint([1e-170, 0.0], [0.0, 1e-170])
+    g = rr.SampledGraph(origin(2), (origin(2), near), 1.0, spec)
+    d = g.pair_distances_to(origin(2))
+    assert d[1] > 0.0
+    assert d[1] == rr.pair_norm_primal(near.x, near.y, spec)
 
 
 def test_graph_membership_invariant_all_variants():

@@ -132,3 +132,30 @@ def test_ball_sample_stays_in_ball():
     spec = rr.NormSpec(3, 1)
     pts = ball_sample(spec, 0.7, 100, generator(3))
     assert all(rr.norm(p, spec) <= 0.7 + 1e-12 for p in pts)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_norms_match_norm_bit_for_bit(p):
+    rng = generator(41, int(p if p != math.inf else 99))
+    for d in range(1, 10):
+        spec = rr.NormSpec(d, p)
+        for magnitude in (1e-300, 1e-170, 1e-20, 1.0, 1e20, 1e170, 1e300):
+            rows = rng.standard_normal((60, d)) * magnitude * np.exp(rng.uniform(-3, 3, (60, 1)))
+            rows[0] = 0.0
+            rows[1, 0] = math.inf
+            rows[2, -1] = -math.inf
+            got = rr.norms(rows, spec)
+            expected = [rr.norm(row, spec) for row in rows]
+            assert got.tolist() == expected
+        # a column slice is not C-contiguous; its row sums must add in the same order
+        wide = rng.standard_normal((30, d + 3))[:, 1:d + 1]
+        assert rr.norms(wide, spec).tolist() == [rr.norm(row, spec) for row in wide]
+
+
+def test_norms_shape_checks():
+    spec = rr.NormSpec(2)
+    assert rr.norms(np.zeros((0, 2)), spec).shape == (0,)
+    with pytest.raises(DimensionMismatchError):
+        rr.norms(np.zeros((3, 3)), spec)
+    with pytest.raises(DimensionMismatchError):
+        rr.norms(np.zeros(2), spec)
