@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -254,7 +253,7 @@ def _run_task(config: ExperimentConfig, idx: int, task: TaskSpec):
     raise ValueError(f"unhandled task {name!r}")
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -> int:
+def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Run every task, write report.json and traces.csv, return the exit code."""
     out = Path(out_dir or config.output or ".")
     results: list[dict] = []
@@ -262,22 +261,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None, jobs: i
     verdicts: dict[str, bool] = {}
     construction_failed = False
 
-    def _safe(idx_task):
-        idx, task = idx_task
+    for idx, task in enumerate(config.tasks):
         try:
-            return _run_task(config, idx, task)
+            entry, rows, task_verdicts = _run_task(config, idx, task)
         except Exception as exc:  # noqa: BLE001 - reported as a construction error
             log.error("task %d (%s) failed: %s", idx, task.name, exc)
-            return {"task": task.name, "error": str(exc)}, [], None
-
-    items = list(enumerate(config.tasks))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_safe, items))
-    else:
-        outcomes = [_safe(it) for it in items]
-
-    for (idx, task), (entry, rows, task_verdicts) in zip(items, outcomes):
+            entry, rows, task_verdicts = {"task": task.name, "error": str(exc)}, [], None
         results.append(entry)
         all_rows.extend((f"{idx}.{label}", d, v) for label, d, v in rows)
         if task_verdicts is None:
@@ -320,7 +309,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_val = sub.add_parser("validate", help="validate a config without running it")
     p_val.add_argument("--config", required=True)
     args = parser.parse_args(argv)
@@ -346,7 +334,7 @@ def main(argv=None) -> int:
         return 0
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return run_experiment(config, out_dir=args.out, jobs=args.jobs)
+    return run_experiment(config, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -462,23 +462,13 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
 # regularity modulus (infimum of distance ratios)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PairEntry:
-    x: np.ndarray
-    y: np.ndarray
-    ratio: float
-    dx: float
-    dy: float
-    ax: np.ndarray  # refinement anchor in the domain (midpoint for straddles)
-    ay: np.ndarray
-
-
-def _pair_ratio(F: MappingModel, x: np.ndarray, y: np.ndarray, anchors=()) -> float | None:
+def _pair_ratio(F: MappingModel, x: np.ndarray, y: np.ndarray, root=None) -> float | None:
     """Ratio d(y, F(x)) / d(x, F^{-1}(y)); None when the pair carries no information.
 
-    Anchors are root-finding starts, passed on only to mappings whose inverse
+    `root` is a root-finding start, passed on only to mappings whose inverse
     distance is not exact."""
-    den = F.inverse_distance(x, y, anchors=anchors) if anchors else F.inverse_distance(x, y)
+    den = F.inverse_distance(x, y) if root is None or F.exact_inverse \
+        else F.inverse_distance(x, y, anchors=(root,))
     if den <= _POS_TOL:
         return None
     num = F.distance_to_image(x, y)
@@ -492,34 +482,50 @@ def _pair_ratio(F: MappingModel, x: np.ndarray, y: np.ndarray, anchors=()) -> fl
 
 
 class _RatioPool:
-    """Cumulative pool of evaluated pairs; per-scale infima are monotone by nesting."""
+    """Cumulative pool of evaluated pairs, one row per pair; per-scale infima
+    are monotone by nesting."""
 
     def __init__(self, F: MappingModel, base: GraphPoint):
-        self.F = F
-        self.base = base
-        self.anchored = not F.exact_inverse
-        self.entries: list[_PairEntry] = []
+        self.F, self.base = F, base
+        self.x = self.ax = np.empty((0, F.domain.dimension))
+        self.y = np.empty((0, F.codomain.dimension))
+        # gate: the radius of the smallest product of balls around the base holding the pair
+        self.ratio, self.gate = np.empty(0), np.empty(0)
 
-    def add(self, x, y, anchors=(), ax=None, ay=None) -> _PairEntry | None:
-        x, y = as_vector(x), as_vector(y)
-        ratio = _pair_ratio(self.F, x, y, anchors if self.anchored else ())
-        if ratio is None:
-            return None
-        e = _PairEntry(x, y, ratio,
-                       norm(x - self.base.x, self.F.domain),
-                       norm(y - self.base.y, self.F.codomain),
-                       x if ax is None else as_vector(ax),
-                       y if ay is None else as_vector(ay))
-        self.entries.append(e)
-        return e
+    def add(self, x, y, roots=None, ax=None) -> None:
+        """Evaluate the pairs (x[i], y[i]) in row order and keep those that
+        carry information.  roots[i] is the root-finding start of pair i, and
+        ax[i] its refinement anchor in the domain (default x[i])."""
+        F = self.F
+        ax = x if ax is None else ax
+        roots = [None] * len(x) if roots is None else roots
+        ratios = [_pair_ratio(F, xi, yi, ri) for xi, yi, ri in zip(x, y, roots)]
+        keep = np.array([r is not None for r in ratios], dtype=bool)
+        x, y = x[keep], y[keep]
+        self.x = np.vstack((self.x, x))
+        self.y = np.vstack((self.y, y))
+        self.ax = np.vstack((self.ax, ax[keep]))
+        self.ratio = np.append(self.ratio, [r for r in ratios if r is not None])
+        self.gate = np.append(self.gate, np.maximum(norms(x - self.base.x, F.domain),
+                                                    norms(y - self.base.y, F.codomain)))
 
-    def minimum(self, delta: float) -> _PairEntry | None:
-        gate = delta * (1.0 + 1e-12)
-        best = None
-        for e in self.entries:
-            if e.dx <= gate and e.dy <= gate and (best is None or e.ratio < best.ratio):
-                best = e
-        return best
+    def gated(self, delta: float) -> np.ndarray:
+        """Indices of the pairs in the product of the two delta-balls, in pool order."""
+        return np.flatnonzero(self.gate <= delta * (1.0 + 1e-12))
+
+    def minimum(self, delta: float) -> float:
+        return float(self.ratio[self.gated(delta)].min(initial=math.inf))
+
+    def top_anchors(self, delta: float, k: int = 3) -> list[int]:
+        """The k best gated pairs whose anchors lie more than delta/16 apart,
+        best first (ties in pool order)."""
+        idx = self.gated(delta)
+        idx = idx[np.argsort(self.ratio[idx], kind="stable")]
+        picked: list[int] = []
+        while idx.size and len(picked) < k:
+            picked.append(int(idx[0]))
+            idx = idx[norms(self.ax[idx] - self.ax[idx[0]], self.F.domain) > delta / 16.0]
+        return picked
 
 
 def _branch_following_jacobian(F: MappingModel, x: np.ndarray, h: float) -> np.ndarray | None:
@@ -563,19 +569,136 @@ def _ring_grid(domain: NormSpec, delta: float, rng) -> np.ndarray:
     return np.vstack([(r / lengths)[:, None] * dirs for r in radii])
 
 
-def _graph_pairs(points, base, rng, cap):
-    """Index pairs for ratio probes: nearest-neighbor chain plus random picks."""
-    if len(points) < 2:
-        return []
-    order = sorted(range(len(points)),
-                   key=lambda i: float(np.linalg.norm(points[i].x - base.x)))
+def _along(dirs: np.ndarray, lengths: np.ndarray, spec: NormSpec):
+    """Offsets lengths[i] / ||dirs[i]|| * dirs[i], skipping near-zero
+    directions; returns the mask of kept rows and their offsets."""
+    nd = norms(dirs, spec)
+    ok = ~(nd < 1e-12)
+    return ok, (lengths[ok] / nd[ok])[:, None] * dirs[ok]
+
+
+def _straddles(F: MappingModel, base: GraphPoint, delta: float, mid: np.ndarray, off: np.ndarray):
+    """Straddled graph quotients through each row of `mid`: x1 = mid - off
+    paired with the image of x2 = mid + off nearest to the base value, for
+    pairs in the product of the two delta-balls.  Returns (x1, y2, x2, mid),
+    the arguments of `_RatioPool.add`."""
+    x1, x2 = mid - off, mid + off
+    owner, images = [], []
+    for i in np.flatnonzero(~(norms(x1 - base.x, F.domain) > delta)):
+        ws = F.images(x2[i])
+        owner.extend([i] * len(ws))
+        images.extend(ws)
+    owner = np.array(owner, dtype=int)
+    images = np.array(images).reshape(len(owner), F.codomain.dimension)
+    dist = norms(images - base.y, F.codomain)
+    # the nearest image of each row (the first one on ties)
+    order = np.lexsort((dist, owner))
+    first = order[np.unique(owner[order], return_index=True)[1]]
+    first = first[dist[first] <= delta]
+    rows = owner[first]
+    return x1[rows], images[first], x2[rows], mid[rows]
+
+
+def _graph_anchored(xs: np.ndarray, ys: np.ndarray, base: GraphPoint, rng, cap: int):
+    """x from one graph point, y the image of another, rooted at the second
+    point's x: a nearest-neighbor chain plus random picks."""
+    if len(xs) < 2:
+        return xs[:0], ys[:0]
+    order = sorted(range(len(xs)), key=lambda i: float(np.linalg.norm(xs[i] - base.x)))
     pairs = [(order[k], order[k + 1]) for k in range(len(order) - 1)]
-    extra = min(cap, 3 * len(order))
-    for _ in range(extra):
+    for _ in range(min(cap, 3 * len(order))):
         i, j = rng.integers(0, len(order), size=2)
         if i != j:
             pairs.append((order[int(i)], order[int(j)]))
-    return pairs
+    first, second = np.array(pairs).T
+    return xs[first], ys[second], xs[second], 0.5 * (xs[first] + xs[second])
+
+
+def _uniform_pairs(F: MappingModel, ys: np.ndarray, base: GraphPoint, delta: float,
+                   count: int, discrete: bool, rng):
+    """Uniform draws from the product of the two delta-balls; a stored graph
+    draws y from its stored values only."""
+    x = base.x + ball_sample(F.domain, delta, count, rng)
+    if not discrete:
+        return x, base.y + ball_sample(F.codomain, delta, count, rng)
+    if not len(ys):
+        return x[:0], ys
+    return x, ys[[int(rng.integers(0, len(ys))) for _ in range(count)]]
+
+
+def _probes(xs: np.ndarray, ys: np.ndarray, base: GraphPoint, delta: float, count: int,
+            rng, codomain: NormSpec):
+    """Short steps off sampled images (off the base value when no graph
+    point lies in the ball), rooted at the sampled x."""
+    src_x, src_y = (xs, ys) if len(xs) else (base.x[None], base.y[None])
+    picks, dirs, steps = [], [], []
+    for _ in range(count):
+        picks.append(int(rng.integers(0, len(xs))) if len(xs) else 0)
+        dirs.append(rng.standard_normal(codomain.dimension))
+        steps.append(delta * float(rng.choice([0.25, 0.04, 0.008])))
+    picks = np.array(picks, dtype=int)
+    ok, offs = _along(np.array(dirs), np.array(steps), codomain)
+    x, y = src_x[picks[ok]], src_y[picks[ok]] + offs
+    inside = ~(norms(y - base.y, codomain) > delta)
+    return x[inside], y[inside], x[inside]
+
+
+def _linearization_sweep(F: MappingModel, base: GraphPoint, delta: float, rng):
+    """Where the finite-difference Jacobian on a ring grid has a depressed
+    smallest singular value, straddle pairs along its minimal-gain direction
+    (deterministic detection of narrow dips).  The singular values come from
+    LAPACK, so rg stays independent of the Jacobi oracle it is checked against."""
+    offsets = _ring_grid(F.domain, delta, rng)
+    steps = np.maximum(norms(offsets, F.domain), delta / 64.0) * 0.02
+    mids = base.x + offsets
+    jacobians = [_branch_following_jacobian(F, x, h) for x, h in zip(mids, steps.tolist())]
+    found = np.array([i for i, J in enumerate(jacobians) if J is not None], dtype=int)
+    stack = np.array([jacobians[i] for i in found]).reshape(-1, F.codomain.dimension, mids.shape[1])
+    _, sigmas, vt = np.linalg.svd(stack, full_matrices=False)
+    v_min = vt[:, -1, :]
+    # LAPACK leaves the sign of a singular vector open: fix it by the largest entry
+    v_min *= np.sign(v_min[np.arange(len(v_min)), np.abs(v_min).argmax(axis=1)])[:, None]
+    best = np.argsort(sigmas[:, -1], kind="stable")[:6]
+    scales = (steps[found[best], None] * np.array([0.5, 2.0, 8.0])).reshape(-1, 1)
+    return _straddles(F, base, delta, np.repeat(mids[found[best]], 3, axis=0),
+                      scales * np.repeat(v_min[best], 3, axis=0))
+
+
+def _refinement(F: MappingModel, base: GraphPoint, delta: float, pool: _RatioPool,
+                top: list[int], round_: int, count: int, discrete: bool, rng):
+    """Straddled graph quotients through the anchors of the best pairs, with
+    directions drifting around each pair's own axis, then local jitter of
+    both ends of the best pair.  Returns the two batches in that order."""
+    domain, codomain = F.domain, F.codomain
+    shrink = 0.5 ** round_
+    rad = delta * 0.25 * shrink
+    axes = pool.ax[top] - pool.x[top]
+    axis_norms = norms(axes, domain)
+    rows = []  # (mid, direction, separation) of each straddle
+    for i, axis, n_axis in zip(top, axes, axis_norms.tolist()):
+        ax = pool.ax[i]
+        s_best = n_axis if n_axis > 0 else delta * 0.05
+        sep0 = max(s_best, delta * 1e-5) * 2.0 * shrink
+        # deterministic separation ladder along coordinate axes and the best
+        # pair's own axis, all through its anchor
+        ladder = list(np.eye(domain.dimension)) + ([axis / n_axis] if n_axis > 0 else [])
+        rows += [(ax, d, sep0 * s_fac) for d in ladder for s_fac in (1.0, 0.25, 0.0625)]
+        for _ in range(count):
+            mid = ax + ball_sample(domain, rad, 1, rng)[0]
+            noise = rng.standard_normal(domain.dimension)
+            d = axis / n_axis + 0.5 * shrink * noise if n_axis > 0 else noise
+            rows.append((mid, d, sep0 * float(rng.uniform(0.15, 1.0))))
+    mids, dirs, seps = (np.array(column) for column in zip(*rows))
+    ok, offs = _along(dirs, seps, domain)
+    straddles = _straddles(F, base, delta, mids[ok], offs)
+
+    best_x, best_y = pool.x[top[0]], pool.y[top[0]]
+    jx = best_x + ball_sample(domain, rad, count, rng)
+    jy = np.tile(best_y, (count, 1)) if discrete \
+        else best_y + ball_sample(codomain, rad, count, rng)
+    inside = (norms(jx - base.x, domain) <= delta) & (norms(jy - base.y, codomain) <= delta)
+    jitter = jx[inside], jy[inside], np.broadcast_to(best_x, jx[inside].shape)
+    return straddles, jitter
 
 
 def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
@@ -583,11 +706,13 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
     """Infimum of d(y, F(x)) / d(x, F^{-1}(y)) over sampled pairs in shrinking
     balls, with adaptive refinement around the running argmin.
 
-    Pairs come from three families: uniform ball draws, graph-anchored pairs
-    (x from one graph point, y the image of another), and short probes off
-    sampled images.  The pool is cumulative, so per-scale infima are monotone
-    by nesting.  The +inf sentinel is reported when no sampled pair has a
-    positive inverse distance.
+    Each proposal family returns its pairs as arrays, which one pool
+    evaluates: graph-anchored pairs (x from one graph point, y the image of
+    another), uniform ball draws, short probes off sampled images, straddles
+    along the minimal-gain directions of a linearization sweep, and the
+    refinement straddles and jitter.  The pool is cumulative, so per-scale
+    infima are monotone by nesting.  The +inf sentinel is reported when no
+    sampled pair has a positive inverse distance.
     """
     from .mappings import FiniteGraphMapping
 
@@ -603,143 +728,30 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
         # the pair-norm sampling ball of radius 2*delta covers the product of
         # the two delta-balls that gate regularity pairs
         sample = sample_graph(F, base, 2.0 * delta, budget, seed=schedule.seed + 37 * j)
-        in_ball = list(compress(sample.points,
-                                (norms(sample.xs - base.x, domain) <= delta)
-                                & (norms(sample.ys - base.y, codomain) <= delta)))
+        in_ball = (norms(sample.xs - base.x, domain) <= delta) \
+            & (norms(sample.ys - base.y, codomain) <= delta)
+        xs, ys = sample.xs[in_ball], sample.ys[in_ball]
 
-        # graph-anchored ratio pairs
-        for i, k in _graph_pairs(in_ball, base, rng, cap=budget // 2):
-            g1, g2 = in_ball[i], in_ball[k]
-            pool.add(g1.x, g2.y, anchors=(g2.x,), ax=0.5 * (g1.x + g2.x))
+        pool.add(*_graph_anchored(xs, ys, base, rng, cap=budget // 2))
+        pool.add(*_uniform_pairs(F, ys, base, delta, max(8, budget // 3), discrete, rng))
+        if not discrete:
+            pool.add(*_probes(xs, ys, base, delta, max(4, budget // 5), rng, codomain))
+            if domain.dimension <= 4 and codomain.dimension <= 4:
+                pool.add(*_linearization_sweep(F, base, delta, rng))
 
-        # uniform pairs in the ball product
-        n_uni = max(8, budget // 3)
-        xs = base.x + ball_sample(domain, delta, n_uni, rng)
-        if discrete:
-            ys = [in_ball[int(rng.integers(0, len(in_ball)))].y for _ in range(n_uni)] \
-                if in_ball else []
-        else:
-            ys = base.y + ball_sample(codomain, delta, n_uni, rng)
-        for x, y in zip(xs, ys):
-            pool.add(x, y)
-
-        # short probes off sampled images
-        n_probe = 0 if discrete else max(4, budget // 5)
-        for _ in range(n_probe):
-            g = in_ball[int(rng.integers(0, len(in_ball)))] if in_ball else sample.base
-            d = rng.standard_normal(codomain.dimension)
-            nd = norm(d, codomain)
-            if nd < 1e-12:
-                continue
-            t = delta * float(rng.choice([0.25, 0.04, 0.008]))
-            y = g.y + (t / nd) * d
-            if norm(y - base.y, codomain) > delta:
-                continue
-            pool.add(g.x, y, anchors=(g.x,))
-
-        # local-linearization sweep: where the finite-difference Jacobian has a
-        # depressed smallest singular value, seed straddle pairs along its
-        # minimal-gain direction (deterministic detection of narrow dips)
-        if not discrete and domain.dimension <= 4 and codomain.dimension <= 4:
-            scan: list[tuple[float, np.ndarray, np.ndarray, float]] = []
-            offsets = _ring_grid(domain, delta, rng)
-            steps = np.maximum(norms(offsets, domain), delta / 64.0) * 0.02
-            for off, h in zip(offsets, steps.tolist()):
-                x = base.x + off
-                J = _branch_following_jacobian(F, x, h)
-                if J is None:
-                    continue
-                try:
-                    res = oracles.sigma_min(J)
-                except oracles.NonConvergenceError:
-                    continue
-                scan.append((res.sigma_min, x, res.v_min, h))
-            scan.sort(key=lambda t: t[0])
-            for sig, x, v_min, h in scan[:6]:
-                for s in (0.5 * h, 2.0 * h, 8.0 * h):
-                    x1, x2 = x - s * v_min, x + s * v_min
-                    if norm(x1 - base.x, domain) > delta:
-                        continue
-                    ws = F.images(x2)
-                    if not ws:
-                        continue
-                    y2 = min(ws, key=lambda w: norm(w - base.y, codomain))
-                    if norm(y2 - base.y, codomain) <= delta:
-                        pool.add(x1, y2, anchors=(x2,), ax=x)
-
-        # adaptive refinement around the running argmin: straddled graph
-        # quotients through the anchor of the best pair, directions drifting
-        # around the best pair's own axis, plus local jitter of both ends
-        def straddle(mid: np.ndarray, d: np.ndarray, s: float) -> None:
-            nd = norm(d, domain)
-            if nd < 1e-12:
-                return
-            x1, x2 = mid - s / nd * d, mid + s / nd * d
-            if norm(x1 - base.x, domain) > delta:
-                return
-            ws = F.images(x2)
-            if not ws:
-                return
-            y2 = min(ws, key=lambda w: norm(w - base.y, codomain))
-            if norm(y2 - base.y, codomain) <= delta:
-                pool.add(x1, y2, anchors=(x2,), ax=mid)
-
-        def top_anchors(k: int = 3) -> list[_PairEntry]:
-            gate = delta * (1.0 + 1e-12)
-            ranked = sorted((e for e in pool.entries if e.dx <= gate and e.dy <= gate),
-                            key=lambda e: e.ratio)
-            picked: list[_PairEntry] = []
-            for e in ranked:
-                if all(norm(e.ax - p.ax, domain) > delta / 16.0 for p in picked):
-                    picked.append(e)
-                if len(picked) == k:
-                    break
-            return picked
-
-        axes = list(np.eye(domain.dimension))
         for round_ in range(schedule.refine_rounds):
-            anchors_list = top_anchors()
-            if not anchors_list:
+            top = pool.top_anchors(delta)
+            if not top:
                 break
-            n_ref = schedule.refine_samples
-            shrink = 0.5 ** round_
-            rad = delta * 0.25 * shrink
-            for best in anchors_list:
-                axis = best.ax - best.x
-                n_axis = norm(axis, domain)
-                s_best = n_axis if n_axis > 0 else delta * 0.05
-                sep0 = max(s_best, delta * 1e-5) * 2.0 * shrink
-                # deterministic separation ladder along coordinate axes and
-                # the best pair's own axis, all through its anchor
-                dirs = axes + ([axis / n_axis] if n_axis > 0 else [])
-                for d in dirs:
-                    for s_fac in (1.0, 0.25, 0.0625):
-                        straddle(best.ax, d, sep0 * s_fac)
-                for _ in range(n_ref // 3):
-                    mid = best.ax + ball_sample(domain, rad, 1, rng)[0]
-                    if n_axis > 0:
-                        d = axis / n_axis + 0.5 * shrink * rng.standard_normal(domain.dimension)
-                    else:
-                        d = rng.standard_normal(domain.dimension)
-                    straddle(mid, d, sep0 * float(rng.uniform(0.15, 1.0)))
-            best = anchors_list[0]
-            jx = best.x + ball_sample(domain, rad, n_ref // 3, rng)
-            if discrete:
-                jy = np.tile(best.y, (n_ref // 3, 1))
-            else:
-                jy = best.ay + ball_sample(codomain, rad, n_ref // 3, rng)
-            inside = (norms(jx - base.x, domain) <= delta) & (norms(jy - base.y, codomain) <= delta)
-            for x, y in compress(zip(jx, jy), inside):
-                pool.add(x, y, anchors=(best.x,))
+            for batch in _refinement(F, base, delta, pool, top, round_,
+                                     schedule.refine_samples // 3, discrete, rng):
+                pool.add(*batch)
 
-    per_scale = []
-    for delta in schedule.radii:
-        best = pool.minimum(delta)
-        per_scale.append((delta, best.ratio if best is not None else math.inf))
+    per_scale = [(delta, pool.minimum(delta)) for delta in schedule.radii]
     values = [v for _, v in per_scale]
     if pair_log is not None:
-        gate = schedule.radii[-1] * (1.0 + 1e-12)
-        pair_log.extend((e.x, e.y) for e in pool.entries if e.dx <= gate and e.dy <= gate)
+        idx = pool.gated(schedule.radii[-1])
+        pair_log.extend(zip(pool.x[idx], pool.y[idx]))
     return ModulusEstimate(values[-1], tuple(per_scale), _stabilized(values), kind="rg")
 
 
@@ -747,12 +759,31 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
 # Lipschitz modulus (supremum of difference quotients)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _QuotientEntry:
-    gate: float
-    quot: float
-    a: np.ndarray
-    b: np.ndarray
+class _QuotientPool:
+    """Cumulative pool of difference quotients ||f(a) - f(b)|| / ||a - b||,
+    one row per pair, gated by the larger distance of a and b to the center."""
+
+    def __init__(self, f, center: np.ndarray, domain: NormSpec, codomain: NormSpec):
+        self.f, self.center, self.domain, self.codomain = f, center, domain, codomain
+        self.a, self.b = np.empty((0, domain.dimension)), np.empty((0, domain.dimension))
+        self.quot, self.sep, self.gate = np.empty(0), np.empty(0), np.empty(0)
+
+    def add(self, a: np.ndarray, b: np.ndarray, delta: float) -> None:
+        """Evaluate the pairs (a[i], b[i]) that lie in the delta-ball and are
+        not coincident, in row order."""
+        gate = np.maximum(norms(a - self.center, self.domain), norms(b - self.center, self.domain))
+        sep = norms(a - b, self.domain)
+        keep = (gate <= delta) & ~(sep <= 1e-15)
+        a, b, sep = a[keep], b[keep], sep[keep]
+        diffs = [as_vector(self.f(u)) - as_vector(self.f(v)) for u, v in zip(a, b)]
+        diffs = np.array(diffs).reshape(len(a), self.codomain.dimension)
+        self.a, self.b = np.vstack((self.a, a)), np.vstack((self.b, b))
+        self.quot = np.append(self.quot, norms(diffs, self.codomain) / sep)
+        self.sep = np.append(self.sep, sep)
+        self.gate = np.append(self.gate, gate[keep])
+
+    def maximum(self, delta: float) -> float:
+        return float(self.quot[self.gate <= delta].max(initial=0.0))
 
 
 def lip_estimate(f, x_bar, schedule: ScaleSchedule,
@@ -765,81 +796,63 @@ def lip_estimate(f, x_bar, schedule: ScaleSchedule,
     f0 = as_vector(f(x_bar))
     domain = domain or NormSpec(x_bar.size)
     codomain = codomain or NormSpec(f0.size)
-
-    entries: list[_QuotientEntry] = []
-
-    def add_pair(a: np.ndarray, b: np.ndarray):
-        sep = norm(a - b, domain)
-        if sep <= 1e-15:
-            return None
-        quot = norm(as_vector(f(a)) - as_vector(f(b)), codomain) / sep
-        gate = max(norm(a - x_bar, domain), norm(b - x_bar, domain))
-        entries.append(_QuotientEntry(gate, quot, a, b))
-        return quot
+    pool = _QuotientPool(f, x_bar, domain, codomain)
 
     n_dim = domain.dimension
     for j, delta in enumerate(schedule.radii):
         rng = generator(schedule.seed, 104729, j)
         budget = schedule.samples_per_scale
-        firsts: list[np.ndarray] = []
         # shell-structured anchors plus uniform fill
+        firsts = []
         for i in range(7):
             r = delta * 2.0 ** -i
-            for k in range(n_dim):
-                e = np.zeros(n_dim)
-                e[k] = r
-                firsts.append(x_bar + e)
-                firsts.append(x_bar - e)
+            e = r * np.eye(n_dim)
+            firsts.append(np.stack((x_bar + e, x_bar - e), axis=1).reshape(-1, n_dim))
             vs = rng.standard_normal((max(1, budget // 28), n_dim))
-            for v in vs:
-                nv = norm(v, domain)
-                if nv > 1e-12:
-                    firsts.append(x_bar + v / nv * r)
-        firsts.extend(x_bar + ball_sample(domain, delta * 0.9, budget // 3, rng))
-        for a in firsts:
-            if norm(a - x_bar, domain) > delta:
-                continue
-            ell = float(10.0 ** (-rng.uniform(0.3, 3.0))) * delta
-            d = rng.standard_normal(n_dim)
-            nd = norm(d, domain)
-            if nd < 1e-12:
-                continue
-            b = a + d / nd * ell
-            if norm(b - x_bar, domain) <= delta:
-                add_pair(a, b)
+            lengths = norms(vs, domain)
+            keep = lengths > 1e-12
+            firsts.append(x_bar + vs[keep] / lengths[keep, None] * r)
+        firsts.append(x_bar + ball_sample(domain, delta * 0.9, budget // 3, rng))
+        firsts = np.vstack(firsts)
+        # the ball gate comes before the draws of each anchor's partner
+        firsts = firsts[~(norms(firsts - x_bar, domain) > delta)]
+        ells, dirs = [], []
+        for _ in range(len(firsts)):
+            ells.append(float(10.0 ** (-rng.uniform(0.3, 3.0))) * delta)
+            dirs.append(rng.standard_normal(n_dim))
+        dirs, ells = np.array(dirs).reshape(-1, n_dim), np.array(ells)
+        nd = norms(dirs, domain)
+        ok = ~(nd < 1e-12)
+        # (d / nd) * ell: rounds differently from _along's (ell / nd) * d
+        pool.add(firsts[ok], firsts[ok] + dirs[ok] / nd[ok, None] * ells[ok, None], delta)
 
         for round_ in range(schedule.refine_rounds):
-            gated = [e for e in entries if e.gate <= delta]
-            if not gated:
+            gated = np.flatnonzero(pool.gate <= delta)
+            if not gated.size:
                 break
-            top = max(gated, key=lambda e: e.quot)
-            sep = norm(top.a - top.b, domain)
-            mid = 0.5 * (top.a + top.b)
-            d0 = (top.b - top.a) / sep
+            t = gated[np.argmax(pool.quot[gated])]
+            top_a, top_b, sep = pool.a[t], pool.b[t], float(pool.sep[t])
+            mid = 0.5 * (top_a + top_b)
+            d0 = (top_b - top_a) / sep
             shrink = 0.6 ** round_
             rad = delta * 0.2 * shrink
             half = max(4, schedule.refine_samples // 4)
             # straddle probes: drifting midpoint, shrinking separation
+            mids, dirs, seps = [], [], []
             for _ in range(half):
-                m = mid + ball_sample(domain, rad, 1, rng)[0]
-                d = d0 + 0.4 * shrink * rng.standard_normal(n_dim)
-                nd = norm(d, domain)
-                if nd < 1e-12:
-                    continue
-                s = max(sep, delta * 1e-4) * shrink * float(rng.uniform(0.15, 0.8))
-                a, b = m - s / nd * d, m + s / nd * d
-                if norm(a - x_bar, domain) <= delta and norm(b - x_bar, domain) <= delta:
-                    add_pair(a, b)
-            for _ in range(half):
-                a = top.a + ball_sample(domain, rad * 0.5, 1, rng)[0]
-                b = top.b + ball_sample(domain, rad * 0.5, 1, rng)[0]
-                if norm(a - x_bar, domain) <= delta and norm(b - x_bar, domain) <= delta:
-                    add_pair(a, b)
+                mids.append(mid + ball_sample(domain, rad, 1, rng)[0])
+                dirs.append(d0 + 0.4 * shrink * rng.standard_normal(n_dim))
+                seps.append(max(sep, delta * 1e-4) * shrink * float(rng.uniform(0.15, 0.8)))
+            ok, offs = _along(np.array(dirs), np.array(seps), domain)
+            mids = np.array(mids)[ok]
+            pool.add(mids - offs, mids + offs, delta)
+            # local jitter of both ends
+            ends = np.array([(top_a + ball_sample(domain, rad * 0.5, 1, rng)[0],
+                              top_b + ball_sample(domain, rad * 0.5, 1, rng)[0])
+                             for _ in range(half)])
+            pool.add(ends[:, 0], ends[:, 1], delta)
 
-    per_scale = []
-    for delta in schedule.radii:
-        gated = [e.quot for e in entries if e.gate <= delta]
-        per_scale.append((delta, max(gated) if gated else 0.0))
+    per_scale = [(delta, pool.maximum(delta)) for delta in schedule.radii]
     values = [v for _, v in per_scale]
     return ModulusEstimate(values[-1], tuple(per_scale), _stabilized(values), kind="lip")
 

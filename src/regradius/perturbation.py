@@ -22,7 +22,6 @@ import numpy as np
 
 from . import moduli
 from .mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
-from .oracles import brute_force_membership
 from .spaces import NormSpec, as_vector, dual_norm, generator, norm, pairing
 
 #: bump indices count along a tail of the witness sequence; keeps every
@@ -255,7 +254,7 @@ def relocate_witness_ekeland(sample: SampledGraph, base: GraphPoint,
     functional by the penalty times the step length, so it terminates within
     |sample| steps, stays within the starting distance budget, and the
     relocated point carries the same coderivative element at an inflated
-    epsilon, certified by the brute-force membership oracle.
+    epsilon, certified by the sampled epsilon-normal test of `moduli`.
     """
     domain = sample.spaces.left
     codomain = sample.spaces.right
@@ -268,7 +267,7 @@ def relocate_witness_ekeland(sample: SampledGraph, base: GraphPoint,
     dists = sample.pair_distances_to(center)
     rho = min(0.75 * sample.radius, 1.0 / k_eff)
     for _ in range(7):
-        if brute_force_membership(sample, center, (x_star, -y_star), eps_k, test_radius=rho):
+        if moduli.eps_normal_test(sample, center, (x_star, -y_star), eps_k, rho):
             break
         rho *= 0.5
     else:
@@ -329,8 +328,7 @@ def relocate_witness_ekeland(sample: SampledGraph, base: GraphPoint,
             steps += 1
         eps_tilde = eps_k + eps_prime
         local_radius = max(rho - dists[cur_i], rho * 1e-3)
-        if brute_force_membership(sample, cur_p, (x_star, -y_star), eps_tilde,
-                                  test_radius=local_radius):
+        if moduli.eps_normal_test(sample, cur_p, (x_star, -y_star), eps_tilde, local_radius):
             diag = EkelandDiagnostics(steps, rho, eps_prime, varsigma, start_p,
                                       moved, budget)
             relocated = WitnessEntry(cur_p.x, cur_p.y, eps_tilde, y_star, x_star, entry.k)

@@ -60,3 +60,16 @@ def random_conditioned_matrix(seed, n=3, cond_max=18.0):
         inner = rng.uniform(0.3, 0.9, size=n - 2) if n > 2 else []
         s = np.concatenate(([1.0], np.sort(inner)[::-1], [rng.uniform(1.0 / cond_max, 0.25)]))
     return U @ np.diag(s) @ V.T, s[-1]
+
+
+def forbid_oracle(monkeypatch, name):
+    """Make the oracle `oracles.<name>` raise when a program module calls it,
+    also where a module imported it by name."""
+    from regradius import mappings, moduli, oracles, perturbation, radius
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"oracles.{name} called by the program")
+
+    for module in (oracles, mappings, moduli, perturbation, radius):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, forbidden)

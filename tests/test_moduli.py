@@ -6,7 +6,8 @@ import pytest
 import regradius as rr
 from regradius.moduli import MinNormCoderivative, ModulusEstimate, min_coderivative_norm
 
-from helpers import branch_map, diag_map, fast_schedule, identity_map, origin, parabola_map
+from helpers import (branch_map, diag_map, fast_schedule, forbid_oracle, identity_map, origin,
+                     parabola_map)
 
 
 def test_schedule_validation():
@@ -139,6 +140,15 @@ def test_rg_estimate_diag():
 def test_rg_estimate_branches():
     est = rr.rg_estimate(branch_map(), origin(), fast_schedule(6))
     assert est.value == pytest.approx(1.0, rel=0.10)
+
+
+def test_rg_estimate_does_not_call_the_svd_oracle(monkeypatch):
+    """Criterion 1 checks rg against oracles.sigma_min, so rg must not use it."""
+    A = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.5]])
+    forbid_oracle(monkeypatch, "sigma_min")
+    est = rr.rg_estimate(rr.LinearMapping(A), origin(3), fast_schedule())
+    exact = np.linalg.svd(A, compute_uv=False)[-1]
+    assert abs(est.value - exact) <= 0.10 * exact  # criterion 1's tolerance
 
 
 def test_rg_per_scale_monotone_by_nesting():

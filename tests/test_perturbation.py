@@ -15,7 +15,7 @@ from regradius.perturbation import (
     WitnessSequence,
 )
 
-from helpers import branch_map, diag_map, fast_schedule, identity_map, origin
+from helpers import branch_map, diag_map, fast_schedule, forbid_oracle, identity_map, origin
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +287,18 @@ def test_relocation_identity_2d():
     at = rr.GraphPoint(rel.x, rel.y)
     assert rr.brute_force_membership(sample, at, (rel.x_star, -rel.y_star), rel.eps,
                                      test_radius=max(diag.rho / 4, 1e-6))
+
+
+def test_relocation_does_not_call_the_membership_oracle(monkeypatch):
+    """Criterion 7 checks relocated witnesses with oracles.brute_force_membership,
+    so the relocation must certify them without it."""
+    base = origin(2)
+    sample = rr.sample_graph(identity_map(2), base, 0.5, 150, seed=6)
+    y_star = np.array([0.6, 0.8])
+    entry = WitnessEntry([0.0, 0.0], [0.0, 0.0], 0.04, y_star, y_star, k=3)
+    forbid_oracle(monkeypatch, "brute_force_membership")
+    rel, _ = rr.relocate_witness_ekeland(sample, base, entry)
+    assert rr.norm(rel.x - base.x, rr.NormSpec(2)) > 0.0
 
 
 def test_relocation_requires_base_point_entry():
