@@ -23,7 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import moduli, radius
-from .mappings import GraphPoint, load_mapping, load_perturbation_function
+from .mappings import (GraphMembershipError, GraphPoint, InverseOracleUnavailableError,
+                       load_mapping, load_perturbation_function)
+from .perturbation import (DegenerateModulusError, NotStabilizedError, RelocationError,
+                           UnderSampledGraphError)
 from .spaces import VALID_EXPONENTS, NormSpec
 
 log = logging.getLogger("regradius")
@@ -34,6 +37,12 @@ _TASK_NAMES = {"rg", "rg_plus", "bounds", "destabilize", "interpolate",
 
 #: what building a value from a malformed config field raises
 _FIELD_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
+
+#: what a task raises when its construction fails (exit code 3); anything
+#: else is a program fault and propagates with its traceback
+_CONSTRUCTION_ERRORS = (DegenerateModulusError, NotStabilizedError, UnderSampledGraphError,
+                        RelocationError, GraphMembershipError, InverseOracleUnavailableError,
+                        ValueError)
 
 
 class ConfigError(ValueError):
@@ -264,7 +273,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     for idx, task in enumerate(config.tasks):
         try:
             entry, rows, task_verdicts = _run_task(config, idx, task)
-        except Exception as exc:  # noqa: BLE001 - reported as a construction error
+        except _CONSTRUCTION_ERRORS as exc:
             log.error("task %d (%s) failed: %s", idx, task.name, exc)
             entry, rows, task_verdicts = {"task": task.name, "error": str(exc)}, [], None
         results.append(entry)

@@ -3,7 +3,8 @@
 Four variants are supported: Linear (single-valued A x), Smooth (a finite
 union of continuous branches), FiniteGraph (a stored point sample of the
 graph) and Perturbed (base + scale * f for a single-valued f).  Each variant
-supplies images(), distance_to_image() and inverse_distance(); graphs are
+supplies images(), distance_to_image() and inverse_distance(), and their
+row-batched forms distances_to_image() and inverse_distances(); graphs are
 sampled deterministically on nested shells.
 """
 
@@ -146,6 +147,29 @@ class MappingModel:
         """Finite set of preimage candidates of y (exact where available)."""
         raise InverseOracleUnavailableError(type(self).__name__)
 
+    def distances_to_image(self, x, y) -> np.ndarray:
+        """distance_to_image of each row pair (x[i], y[i])."""
+        return np.array([self.distance_to_image(xi, yi) for xi, yi in zip(x, y)], dtype=float)
+
+    def inverse_distances(self, x, y, roots=None) -> np.ndarray:
+        """inverse_distance of each row pair (x[i], y[i]).  roots[i] is a
+        root-finding start for pair i, used only where the inverse distance is
+        not exact."""
+        return np.array([self.inverse_distance(xi, yi) for xi, yi in zip(x, y)], dtype=float)
+
+    def _nearest_preimages(self, targets, near) -> tuple[np.ndarray, np.ndarray]:
+        """For each row, the inverse_points candidate of targets[i] nearest to
+        near[i] (the first on ties, as `min` picks it), and the mask of the rows
+        that have one."""
+        out = np.array(near, dtype=float)
+        found = np.zeros(len(out), dtype=bool)
+        for i, (t, u) in enumerate(zip(targets, near)):
+            cands = self.inverse_points(t)
+            if cands:
+                out[i] = min(cands, key=lambda c: norm(c - u, self.domain))
+                found[i] = True
+        return out, found
+
 
 class LinearMapping(MappingModel):
     """Single-valued x -> A x."""
@@ -175,6 +199,16 @@ class LinearMapping(MappingModel):
         if norm(self.matrix @ u0 - y, self.codomain) > 1e-9 * (1.0 + norm(y, self.codomain)):
             return None
         return u0
+
+    def _nearest_preimages(self, targets, near) -> tuple[np.ndarray, np.ndarray]:
+        # _particular_solution of every row.  Stacked matrix-vector products
+        # give each row the bits of M @ t; T @ M.T does not.  One row stays on
+        # the scalar path, which costs a third of this one
+        T = np.asarray(targets, dtype=float)
+        U = np.matmul(self._pinv[None], T[:, :, None])[:, :, 0]
+        R = np.matmul(self.matrix[None], U[:, :, None])[:, :, 0] - T
+        cod = self.codomain
+        return U, ~(norms(R, cod) > 1e-9 * (1.0 + norms(T, cod)))
 
     def inverse_distance(self, x, y) -> float:
         x = as_vector(x)
@@ -298,66 +332,97 @@ class PerturbedMapping(MappingModel):
         shifted = as_vector(y) - self.scale * as_vector(self.f(x))
         return self.base.distance_to_image(x, shifted)
 
-    def _fixed_point_roots(self, y, starts: list[np.ndarray], damping: float,
-                           max_iter: int = 48) -> list[np.ndarray]:
-        y = as_vector(y)
-        roots = []
-        tol = 1e-10 * (1.0 + norm(y, self.codomain))
-        for u in starts:
-            u = as_vector(u).copy()
-            for _ in range(max_iter):
-                target = y - self.scale * as_vector(self.f(u))
-                cands = self.base.inverse_points(target)
-                if not cands:
-                    break
-                nxt = min(cands, key=lambda c: norm(c - u, self.domain))
-                step = damping * (nxt - u)
-                u = u + step
-                if norm(step, self.domain) <= 1e-15 * (1.0 + norm(u, self.domain)):
-                    break
-            if self.distance_to_image(u, y) <= tol:
-                roots.append(u)
-        return roots
+    def _f_rows(self, X: np.ndarray) -> np.ndarray:
+        rows = getattr(self.f, "rows", None)
+        if rows is not None:
+            return rows(X)
+        return np.array([as_vector(self.f(x)) for x in X]).reshape(len(X), self.codomain.dimension)
 
-    def _solve_preimages(self, y, anchors: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
-        y = as_vector(y)
-        starts: list[np.ndarray] = [as_vector(a) for a in anchors]
-        try:
-            starts.extend(self.base.inverse_points(y))
-        except InverseOracleUnavailableError:
-            pass
-        if not starts:
-            return []
-        roots = self._fixed_point_roots(y, starts, damping=1.0)
-        if not roots:
-            roots = self._fixed_point_roots(y, starts, damping=0.5, max_iter=120)
-        # dedupe nearby roots
-        out: list[np.ndarray] = []
-        for r in roots:
-            if all(norm(r - o, self.domain) > 1e-12 * (1.0 + norm(r, self.domain)) for o in out):
-                out.append(r)
-        return out
+    def distances_to_image(self, x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        shifted = np.asarray(y, dtype=float) - self.scale * self._f_rows(x)
+        return self.base.distances_to_image(x, shifted)
 
-    def inverse_distance(self, x, y, anchors: Sequence[np.ndarray] = ()) -> float:
-        """Distance to the preimage via verified multistart roots.
+    def _iterate(self, y: np.ndarray, u: np.ndarray, damping: float,
+                 max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+        """The fixed-point iteration u <- u + damping * (v - u), v the base
+        preimage of y - scale * f(u) nearest to u, run on every row at once.
+        A row stops when it has no base preimage or its step falls below
+        1e-15 (1 + ||u||).  Returns the final points and the mask of those
+        whose residual verifies."""
+        u = u.copy()
+        live = np.arange(len(u))
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            target = y[live] - self.scale * self._f_rows(u[live])
+            nxt, found = self.base._nearest_preimages(target, u[live])
+            live = live[found]
+            step = damping * (nxt[found] - u[live])
+            u[live] = u[live] + step
+            live = live[~(norms(step, self.domain) <= 1e-15 * (1.0 + norms(u[live], self.domain)))]
+        tol = 1e-10 * (1.0 + norms(y, self.codomain))
+        return u, self.distances_to_image(u, y) <= tol
+
+    def _roots(self, y: np.ndarray, roots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Verified multistart roots of y[i] in F(u) + scale * f(u), for every row
+        i at once.  The starts of row i are roots[i] (when given), then the base
+        preimages of y[i].  Damping 1 runs first; a row with no verified root
+        retries every start with damping 0.5.  Returns the roots in start
+        order, less those within 1e-12 (1 + ||r||) of an earlier root of their
+        row, and the row index of each."""
+        starts, owner = [], []
+        for i, yi in enumerate(y):
+            row = [] if roots is None else [roots[i]]
+            try:
+                row.extend(self.base.inverse_points(yi))
+            except InverseOracleUnavailableError:
+                pass
+            starts.extend(row)
+            owner.extend([i] * len(row))
+        owner = np.array(owner, dtype=int)
+        u0 = np.array(starts, dtype=float).reshape(len(owner), self.domain.dimension)
+        u, ok = self._iterate(y[owner], u0, 1.0, 48)
+        retry = (np.bincount(owner[ok], minlength=len(y)) == 0)[owner]
+        if retry.any():
+            u[retry], ok[retry] = self._iterate(y[owner[retry]], u0[retry], 0.5, 120)
+        # dedupe in start order; the starts of one row are consecutive, so the
+        # start at position j of a row sits k places after its position j - k
+        position = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        cutoff = 1e-12 * (1.0 + norms(u, self.domain))
+        for j in range(1, int(position.max(initial=0)) + 1):
+            cur = np.flatnonzero(ok & (position == j))
+            for k in range(j, 0, -1):
+                prev = cur - k
+                dup = ok[prev] & ~(norms(u[cur] - u[prev], self.domain) > cutoff[cur])
+                ok[cur[dup]] = False
+                cur = cur[~dup]
+        return u[ok], owner[ok]
+
+    def inverse_distances(self, x, y, roots=None) -> np.ndarray:
+        """Distances to the preimages via verified multistart roots; roots[i],
+        when given, is also a candidate preimage of its own.
 
         +inf means "no root found", not certified emptiness; callers must
         treat it accordingly (exact_inverse is False).
         """
-        x = as_vector(x)
-        y = as_vector(y)
-        best = math.inf
-        tol = 1e-10 * (1.0 + norm(y, self.codomain))
-        for a in anchors:
-            a = as_vector(a)
-            if self.distance_to_image(a, y) <= tol:
-                best = min(best, norm(a - x, self.domain))
-        for r in self._solve_preimages(y, anchors=anchors):
-            best = min(best, norm(r - x, self.domain))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        best = np.full(len(x), math.inf)
+        if roots is not None:
+            roots = np.asarray(roots, dtype=float)
+            hit = self.distances_to_image(roots, y) <= 1e-10 * (1.0 + norms(y, self.codomain))
+            best[hit] = norms(roots[hit] - x[hit], self.domain)
+        found, owner = self._roots(y, roots)
+        np.minimum.at(best, owner, norms(found - x[owner], self.domain))
         return best
 
+    def inverse_distance(self, x, y, root=None) -> float:
+        """inverse_distances of one pair."""
+        root = None if root is None else as_vector(root)[None]
+        return float(self.inverse_distances(as_vector(x)[None], as_vector(y)[None], root)[0])
+
     def inverse_points(self, y) -> list[np.ndarray]:
-        return self._solve_preimages(y)
+        return list(self._roots(as_vector(y)[None], None)[0])
 
 
 def add_perturbation(F: MappingModel, f: Callable[[np.ndarray], np.ndarray], scale: float,

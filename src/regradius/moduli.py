@@ -34,6 +34,9 @@ STABILIZATION_REL = 0.05
 
 _POS_TOL = 1e-14
 
+#: why `rg_estimate` dropped a pair, in the order of ModulusEstimate.dropped
+DROP_REASONS = ("zero_inverse_distance", "empty_image", "infinite_inverse_distance")
+
 
 @dataclass(frozen=True)
 class ScaleSchedule:
@@ -119,6 +122,8 @@ class ModulusEstimate:
     kind: str = "rg"
     witnesses: tuple[ScaleWitness, ...] = ()
     low_confidence: bool = False
+    #: pairs an rg estimate dropped, counted per reason of DROP_REASONS
+    dropped: tuple[int, ...] = (0,) * len(DROP_REASONS)
 
     def __post_init__(self):
         if self.kind not in ("rg", "rg_plus", "lip"):
@@ -136,13 +141,16 @@ class ModulusEstimate:
 
     def to_json(self) -> dict:
         witness = self.witnesses[-1].to_json() if self.witnesses else None
-        return {
+        doc = {
             "value": _json_value(self.value),
             "per_scale": [[d, _json_value(v)] for d, v in self.per_scale],
             "stabilized": self.stabilized,
             "low_confidence": self.low_confidence,
             "witness": witness,
         }
+        if self.kind == "rg":
+            doc["dropped"] = dict(zip(DROP_REASONS, self.dropped))
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict, kind: str = "rg") -> "ModulusEstimate":
@@ -150,8 +158,10 @@ class ModulusEstimate:
             return math.inf if v == "inf" else float(v)
 
         per_scale = tuple((float(d), _num(v)) for d, v in doc["per_scale"])
+        dropped = doc.get("dropped", {})
         return cls(_num(doc["value"]), per_scale, bool(doc["stabilized"]), kind=kind,
-                   low_confidence=bool(doc.get("low_confidence", False)))
+                   low_confidence=bool(doc.get("low_confidence", False)),
+                   dropped=tuple(int(dropped.get(r, 0)) for r in DROP_REASONS))
 
 
 def _stabilized(values: list[float]) -> bool:
@@ -462,25 +472,6 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
 # regularity modulus (infimum of distance ratios)
 # ---------------------------------------------------------------------------
 
-def _pair_ratio(F: MappingModel, x: np.ndarray, y: np.ndarray, root=None) -> float | None:
-    """Ratio d(y, F(x)) / d(x, F^{-1}(y)); None when the pair carries no information.
-
-    `root` is a root-finding start, passed on only to mappings whose inverse
-    distance is not exact."""
-    den = F.inverse_distance(x, y) if root is None or F.exact_inverse \
-        else F.inverse_distance(x, y, anchors=(root,))
-    if den <= _POS_TOL:
-        return None
-    num = F.distance_to_image(x, y)
-    if math.isinf(num):
-        return None
-    if math.isinf(den):
-        if F.exact_inverse and num > 1e-12:
-            return 0.0  # certified empty preimage: regularity fails outright
-        return None
-    return num / den
-
-
 class _RatioPool:
     """Cumulative pool of evaluated pairs, one row per pair; per-scale infima
     are monotone by nesting."""
@@ -491,21 +482,32 @@ class _RatioPool:
         self.y = np.empty((0, F.codomain.dimension))
         # gate: the radius of the smallest product of balls around the base holding the pair
         self.ratio, self.gate = np.empty(0), np.empty(0)
+        self.dropped = np.zeros(len(DROP_REASONS), dtype=int)
 
     def add(self, x, y, roots=None, ax=None) -> None:
-        """Evaluate the pairs (x[i], y[i]) in row order and keep those that
-        carry information.  roots[i] is the root-finding start of pair i, and
-        ax[i] its refinement anchor in the domain (default x[i])."""
+        """Evaluate the ratios d(y[i], F(x[i])) / d(x[i], F^{-1}(y[i])) and keep
+        the pairs that carry information.  roots[i] is the root-finding start
+        of pair i, and ax[i] its refinement anchor in the domain (default x[i]).
+
+        A pair is dropped, and counted, when its inverse distance is zero, its
+        image is empty, or its inverse distance is +inf, unless the mapping
+        certifies the empty preimage and d(y, F(x)) > 1e-12: then its ratio is
+        0 and regularity fails outright."""
         F = self.F
         ax = x if ax is None else ax
-        roots = [None] * len(x) if roots is None else roots
-        ratios = [_pair_ratio(F, xi, yi, ri) for xi, yi, ri in zip(x, y, roots)]
-        keep = np.array([r is not None for r in ratios], dtype=bool)
+        den = F.inverse_distances(x, y, roots)
+        num = F.distances_to_image(x, y)
+        zero = den <= _POS_TOL
+        empty = ~zero & np.isinf(num)
+        infinite = ~zero & ~empty & np.isinf(den) & ~(F.exact_inverse & (num > 1e-12))
+        self.dropped += [zero.sum(), empty.sum(), infinite.sum()]
+        keep = ~(zero | empty | infinite)
         x, y = x[keep], y[keep]
         self.x = np.vstack((self.x, x))
         self.y = np.vstack((self.y, y))
         self.ax = np.vstack((self.ax, ax[keep]))
-        self.ratio = np.append(self.ratio, [r for r in ratios if r is not None])
+        # a certified empty preimage gives num / inf = 0
+        self.ratio = np.append(self.ratio, num[keep] / den[keep])
         self.gate = np.append(self.gate, np.maximum(norms(x - self.base.x, F.domain),
                                                     norms(y - self.base.y, F.codomain)))
 
@@ -712,7 +714,8 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
     along the minimal-gain directions of a linearization sweep, and the
     refinement straddles and jitter.  The pool is cumulative, so per-scale
     infima are monotone by nesting.  The +inf sentinel is reported when no
-    sampled pair has a positive inverse distance.
+    sampled pair has a positive inverse distance.  The estimate counts the
+    pairs the pool dropped, per reason of DROP_REASONS.
     """
     from .mappings import FiniteGraphMapping
 
@@ -752,7 +755,8 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
     if pair_log is not None:
         idx = pool.gated(schedule.radii[-1])
         pair_log.extend(zip(pool.x[idx], pool.y[idx]))
-    return ModulusEstimate(values[-1], tuple(per_scale), _stabilized(values), kind="rg")
+    return ModulusEstimate(values[-1], tuple(per_scale), _stabilized(values), kind="rg",
+                           dropped=tuple(pool.dropped.tolist()))
 
 
 # ---------------------------------------------------------------------------

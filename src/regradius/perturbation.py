@@ -22,7 +22,7 @@ import numpy as np
 
 from . import moduli
 from .mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
-from .spaces import NormSpec, as_vector, dual_norm, generator, norm, pairing
+from .spaces import NormSpec, as_vector, dual_norm, generator, norm, norms, pairing
 
 #: bump indices count along a tail of the witness sequence; keeps every
 #: exponent within (1, 1.04] so slope caps stay close to the slope norms
@@ -155,9 +155,39 @@ class BumpPerturbation:
                     raise ValueError("bump supports must be pairwise disjoint")
                 if self.t[i] <= self.t[j] + bj.radius + bi.radius:
                     raise ValueError("outer centers must clear the inner shells")
+        # the bumps stacked for rows()
+        n, m = self.domain.dimension, self.codomain.dimension
+        object.__setattr__(self, "_centers", np.array([b.center for b in self.bumps]).reshape(-1, n))
+        object.__setattr__(self, "_slopes", np.array([b.slope for b in self.bumps]).reshape(-1, n))
+        object.__setattr__(self, "_directions",
+                           np.array([b.direction for b in self.bumps]).reshape(-1, m))
+        object.__setattr__(self, "_radii", np.array([b.radius for b in self.bumps]))
+        object.__setattr__(self, "_exponents", [b.exponent for b in self.bumps])
 
     def __call__(self, x) -> np.ndarray:
         return perturbation_eval(self, x)
+
+    def rows(self, X) -> np.ndarray:
+        """f at each row of X; row i equals perturbation_eval(self, X[i]) bit for bit."""
+        X = np.asarray(X, dtype=float)
+        k, b = len(X), len(self.bumps)
+        out = np.zeros((k, self.codomain.dimension))
+        if not b:
+            return out
+        d = X[:, None, :] - self._centers
+        dist = norms(d.reshape(k * b, -1), self.domain).reshape(k, b)
+        inside = dist <= self._radii
+        # by disjointness at most one bump holds a row; the first one counts
+        hit = np.flatnonzero(inside.any(axis=1))
+        which = inside[hit].argmax(axis=1)
+        q = (dist[hit, which] / self._radii[which]).tolist()
+        # the cutoff in Python floats: numpy's power differs from float pow in
+        # the last bit on some inputs
+        s = np.array([_cutoff(qi, self._exponents[w]) for qi, w in zip(q, which.tolist())])
+        # one stacked (1 x n)(n x 1) product per row adds like the 1-D np.dot of `pairing`
+        slope_pairing = np.matmul(d[hit, which][:, None, :], self._slopes[which][:, :, None])
+        out[hit] = (-s * slope_pairing[:, 0, 0])[:, None] * self._directions[which]
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -386,23 +416,19 @@ def choose_direction(y_star, k: int, codomain: NormSpec) -> np.ndarray:
     return v
 
 
+def _cutoff(q: float, exponent: float) -> float:
+    return 0.0 if q >= 1.0 else max(1.0 - q ** exponent, 0.0)
+
+
 def bump_value(spec: BumpSpec, x, domain: NormSpec) -> float:
     """The cutoff factor s(x) = max(1 - (||x - center|| / radius)^exponent, 0)."""
-    q = norm(as_vector(x) - spec.center, domain) / spec.radius
-    if q >= 1.0:
-        return 0.0
-    return max(1.0 - q ** spec.exponent, 0.0)
+    return _cutoff(norm(as_vector(x) - spec.center, domain) / spec.radius, spec.exponent)
 
 
 def perturbation_eval(P: BumpPerturbation, x) -> np.ndarray:
-    """f(x): by disjointness at most one bump is active; zero elsewhere and at
-    every bump center."""
-    x = as_vector(x)
-    for bump in P.bumps:
-        if norm(x - bump.center, P.domain) <= bump.radius:
-            s = bump_value(bump, x, P.domain)
-            return -s * pairing(bump.slope, x - bump.center) * bump.direction
-    return np.zeros(P.codomain.dimension)
+    """f(x): by disjointness at most one bump is active (the first one whose
+    closed support holds x); zero elsewhere and at every bump center."""
+    return P.rows(as_vector(x)[None])[0]
 
 
 def perturbation_gradient_at_centers(P: BumpPerturbation, k: int) -> np.ndarray:

@@ -80,6 +80,25 @@ def test_run_experiment_verdict_failure(tmp_path):
     assert code == 2
 
 
+def test_run_experiment_propagates_program_faults(tmp_path, monkeypatch):
+    from regradius import moduli
+    from regradius.perturbation import RelocationError
+
+    def raising(exc):
+        def estimate(*args, **kwargs):
+            raise exc
+        return estimate
+
+    cfg = parse_config(minimal_config())
+    monkeypatch.setattr(moduli, "rg_estimate", raising(IndexError("index 2 is out of bounds")))
+    with pytest.raises(IndexError):
+        run_experiment(cfg, out_dir=str(tmp_path))
+    monkeypatch.setattr(moduli, "rg_estimate", raising(RelocationError("no certified witness")))
+    assert run_experiment(cfg, out_dir=str(tmp_path)) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["results"] == [{"task": "rg", "error": "no certified witness"}]
+
+
 def test_main_validate_and_parse_error(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal_config()))

@@ -248,3 +248,30 @@ def test_load_graph_mapping():
     F = rr.load_mapping(doc, rr.NormSpec(1), rr.NormSpec(1))
     assert isinstance(F, rr.FiniteGraphMapping)
     assert F.inverse_distance([0.0], [0.2]) == pytest.approx(0.2)
+
+
+def test_linear_nearest_preimages_match_pinv_row_by_row():
+    rng = np.random.default_rng(8)
+    missed = 0
+    for n in range(1, 5):
+        for m in (n, n + 1):  # with m > n most targets leave the range
+            A = rng.standard_normal((m, n))
+            if n > 1:
+                A[:, -1] = A[:, 0]  # a kernel as well
+            F = rr.LinearMapping(A)
+            pinv = np.linalg.pinv(A)
+            T = np.vstack([rng.standard_normal((100, m)) * 10.0 ** rng.uniform(-9, 2, (100, 1)),
+                           rng.standard_normal((100, n)) @ A.T])
+            U, found = F._nearest_preimages(T, rng.standard_normal((len(T), n)))
+            for t, u, ok in zip(T, U, found):
+                u0 = pinv @ t
+                residual = rr.norm(A @ u0 - t, F.codomain)
+                assert ok == (not residual > 1e-9 * (1.0 + rr.norm(t, F.codomain)))
+                if ok:
+                    assert u.tobytes() == u0.tobytes()
+                    assert u.tobytes() == F._particular_solution(t).tobytes()
+                else:
+                    assert F._particular_solution(t) is None
+            assert found[100:].all()
+            missed += int((~found).sum())
+    assert missed >= 300

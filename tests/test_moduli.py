@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import regradius as rr
-from regradius.moduli import MinNormCoderivative, ModulusEstimate, min_coderivative_norm
+from regradius.moduli import (DROP_REASONS, MinNormCoderivative, ModulusEstimate,
+                              min_coderivative_norm)
 
 from helpers import (branch_map, diag_map, fast_schedule, forbid_oracle, identity_map, origin,
                      parabola_map)
@@ -45,6 +46,22 @@ def test_modulus_estimate_inf_serialization():
     doc = flagged.to_json()
     assert doc["low_confidence"] is True
     assert ModulusEstimate.from_json(doc, kind="rg_plus").low_confidence
+
+
+def test_rg_counts_the_pairs_it_drops():
+    # F + f is constant, so no pair off the base value has a root
+    G = rr.add_perturbation(identity_map(1), lambda x: -x, 1.0, origin(1))
+    est = rr.rg_estimate(G, origin(1), fast_schedule(4, samples_per_scale=30, refine_rounds=1))
+    counts = dict(zip(DROP_REASONS, est.dropped))
+    assert counts["infinite_inverse_distance"] > 0 and counts["empty_image"] == 0
+    doc = est.to_json()
+    assert doc["dropped"] == counts
+    assert ModulusEstimate.from_json(doc).dropped == est.dropped
+    del doc["dropped"]
+    assert ModulusEstimate.from_json(doc).dropped == (0, 0, 0)
+    exact = rr.rg_estimate(diag_map(2.0, 0.5), origin(2),
+                           fast_schedule(4, samples_per_scale=30, refine_rounds=1))
+    assert exact.dropped == (0, 0, 0)
 
 
 def _identity_sample(n=1, radius=0.5, budget=80, seed=0):

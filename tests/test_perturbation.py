@@ -332,3 +332,120 @@ def test_coderivative_transfer_after_scaling(diag_setup):
         local = rr.sample_graph(G, center, tau, 80, seed=pos)
         assert rr.coderivative_membership(local, center, e.y_star, shifted,
                                           eps_prime + e.eps, test_radius=tau)
+
+
+def _scalar_bump_eval(P, x):
+    """f(x) one bump at a time through the scalar norm, bump_value and pairing."""
+    for bump in P.bumps:
+        if rr.norm(x - bump.center, P.domain) <= bump.radius:
+            s = rr.bump_value(bump, x, P.domain)
+            return -s * rr.pairing(bump.slope, x - bump.center) * bump.direction
+    return np.zeros(P.codomain.dimension)
+
+
+def test_bump_rows_match_the_scalar_evaluation_bit_for_bit(diag_bumps):
+    P = diag_bumps
+    rng = np.random.default_rng(21)
+    centers = np.array([b.center for b in P.bumps])
+    radii = np.array([b.radius for b in P.bumps])
+    which = rng.integers(0, len(P.bumps), 600)
+    dirs = rng.standard_normal((600, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    # inside and just outside the supports, and at q just below and at 1
+    scale = np.concatenate([rng.uniform(0.0, 1.5, 400), 1.0 - 10.0 ** -rng.uniform(6, 15, 100),
+                            np.ones(100)])
+    X = np.vstack([centers[which] + (scale * radii[which])[:, None] * dirs,
+                   centers,
+                   rng.uniform(-0.15, 0.15, (200, 2))])
+    qs = np.linalg.norm(X[:600] - centers[which], axis=1) / radii[which]
+    assert ((qs < 1.0) & (qs > 1.0 - 1e-6)).sum() >= 50
+    rows = P.rows(X)
+    for x, row in zip(X, rows):
+        assert row.tobytes() == _scalar_bump_eval(P, x).tobytes()
+        assert row.tobytes() == rr.perturbation_eval(P, x).tobytes()
+    assert np.count_nonzero(rows.any(axis=1)) >= 300
+
+
+def _scalar_roots(G, y, starts, damping, max_iter=48):
+    roots = []
+    tol = 1e-10 * (1.0 + rr.norm(y, G.codomain))
+    for u in starts:
+        u = np.array(u, dtype=float)
+        for _ in range(max_iter):
+            target = y - G.scale * np.asarray(G.f(u))
+            cands = G.base.inverse_points(target)
+            if not cands:
+                break
+            nxt = min(cands, key=lambda c: rr.norm(c - u, G.domain))
+            step = damping * (nxt - u)
+            u = u + step
+            if rr.norm(step, G.domain) <= 1e-15 * (1.0 + rr.norm(u, G.domain)):
+                break
+        if G.distance_to_image(u, y) <= tol:
+            roots.append(u)
+    return roots
+
+
+def _scalar_inverse_distance(G, x, y, anchors):
+    """The per-start root loop of PerturbedMapping.inverse_distance, one pair
+    and one start at a time; also says whether the damping-0.5 retry ran."""
+    best = math.inf
+    tol = 1e-10 * (1.0 + rr.norm(y, G.codomain))
+    for a in anchors:
+        if G.distance_to_image(a, y) <= tol:
+            best = min(best, rr.norm(a - x, G.domain))
+    starts = list(anchors) + G.base.inverse_points(y)
+    roots = _scalar_roots(G, y, starts, 1.0)
+    retried = not roots
+    if retried:
+        roots = _scalar_roots(G, y, starts, 0.5, 120)
+    kept = []
+    for r in roots:
+        if all(rr.norm(r - o, G.domain) > 1e-12 * (1.0 + rr.norm(r, G.domain)) for o in kept):
+            kept.append(r)
+    for r in kept:
+        best = min(best, rr.norm(r - x, G.domain))
+    return best, retried
+
+
+def test_perturbed_inverse_distances_match_the_scalar_loop(diag_bumps):
+    F, base, P = diag_map(2.0, 0.5), origin(2), diag_bumps
+    G = rr.add_perturbation(F, P, 1.0, base)
+    rng = np.random.default_rng(0)
+    centers = np.array([b.center for b in P.bumps])
+    radii = np.array([b.radius for b in P.bumps])
+    which = rng.integers(0, len(P.bumps), 400)
+    x = centers[which] + rng.standard_normal((400, 2)) * radii[which, None]
+    roots = centers[which] + rng.standard_normal((400, 2)) * radii[which, None]
+    y = np.array([G.images(r)[0] for r in roots]) \
+        + rng.standard_normal((400, 2)) * 0.3 * radii[which, None]
+    for starts in (roots, None):
+        got = G.inverse_distances(x, y, starts)
+        want, retried = zip(*(_scalar_inverse_distance(G, x[i], y[i],
+                                                       () if starts is None else (starts[i],))
+                              for i in range(len(x))))
+        assert got.tobytes() == np.array(want).tobytes()
+        want = np.array(want)
+        # rows with no root, and rows whose root only the damping-0.5 retry finds
+        assert np.isinf(want).sum() >= 1
+        assert (np.array(retried) & np.isfinite(want)).sum() >= 5
+        for i in range(0, len(x), 20):
+            one = G.inverse_distance(x[i], y[i], None if starts is None else starts[i])
+            assert np.float64(one).tobytes() == want[i].tobytes()
+
+
+def test_perturbed_inverse_distances_over_a_two_branch_base():
+    # the base's preimages come from inverse_points, nearest first, and f is
+    # called row by row; an outer perturbation takes its starts from the inner
+    # one's roots
+    inner = rr.add_perturbation(branch_map(), lambda x: 0.3 * np.sin(3.0 * x), 1.0, origin())
+    outer = rr.add_perturbation(inner, lambda x: 0.2 * x ** 2, 1.0, origin())
+    rng = np.random.default_rng(5)
+    x, y, roots = (rng.uniform(-1.0, 1.0, (60, 1)) for _ in range(3))
+    for G, rows in ((inner, 60), (outer, 4)):
+        for starts in (roots[:rows], None):
+            got = G.inverse_distances(x[:rows], y[:rows], starts)
+            want = [_scalar_inverse_distance(G, x[i], y[i], () if starts is None else (starts[i],))[0]
+                    for i in range(rows)]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert np.isfinite(got).sum() >= rows // 2
