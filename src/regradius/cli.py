@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import moduli, radius
-from .mappings import (GraphMembershipError, GraphPoint, InverseOracleUnavailableError,
-                       load_mapping, load_perturbation_function)
+from .mappings import (GraphPoint, InverseOracleUnavailableError, load_mapping,
+                       load_perturbation_function)
 from .perturbation import (DegenerateModulusError, NotStabilizedError, RelocationError,
                            UnderSampledGraphError)
 from .spaces import VALID_EXPONENTS, NormSpec
@@ -39,10 +39,10 @@ _TASK_NAMES = {"rg", "rg_plus", "bounds", "destabilize", "interpolate",
 _FIELD_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
 
 #: what a task raises when its construction fails (exit code 3); anything
-#: else is a program fault and propagates with its traceback
+#: else is a program fault and propagates with its traceback.  ValueError
+#: covers GraphMembershipError and DimensionMismatchError
 _CONSTRUCTION_ERRORS = (DegenerateModulusError, NotStabilizedError, UnderSampledGraphError,
-                        RelocationError, GraphMembershipError, InverseOracleUnavailableError,
-                        ValueError)
+                        RelocationError, InverseOracleUnavailableError, ValueError)
 
 
 class ConfigError(ValueError):

@@ -171,6 +171,12 @@ class MappingModel:
         return out, found
 
 
+def _off_range(residual, target):
+    """Whether pinv @ y fails to solve A u = y: the residual norm exceeds
+    1e-9 (1 + ||y||).  Works on norms and on arrays of row norms alike."""
+    return residual > 1e-9 * (1.0 + target)
+
+
 class LinearMapping(MappingModel):
     """Single-valued x -> A x."""
 
@@ -196,7 +202,7 @@ class LinearMapping(MappingModel):
     def _particular_solution(self, y) -> np.ndarray | None:
         y = as_vector(y)
         u0 = self._pinv @ y
-        if norm(self.matrix @ u0 - y, self.codomain) > 1e-9 * (1.0 + norm(y, self.codomain)):
+        if _off_range(norm(self.matrix @ u0 - y, self.codomain), norm(y, self.codomain)):
             return None
         return u0
 
@@ -208,7 +214,7 @@ class LinearMapping(MappingModel):
         U = np.matmul(self._pinv[None], T[:, :, None])[:, :, 0]
         R = np.matmul(self.matrix[None], U[:, :, None])[:, :, 0] - T
         cod = self.codomain
-        return U, ~(norms(R, cod) > 1e-9 * (1.0 + norms(T, cod)))
+        return U, ~_off_range(norms(R, cod), norms(T, cod))
 
     def inverse_distance(self, x, y) -> float:
         x = as_vector(x)

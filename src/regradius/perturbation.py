@@ -175,7 +175,7 @@ class BumpPerturbation:
         if not b:
             return out
         d = X[:, None, :] - self._centers
-        dist = norms(d.reshape(k * b, -1), self.domain).reshape(k, b)
+        dist = norms(d.reshape(k * b, self.domain.dimension), self.domain).reshape(k, b)
         inside = dist <= self._radii
         # by disjointness at most one bump holds a row; the first one counts
         hit = np.flatnonzero(inside.any(axis=1))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -364,6 +365,29 @@ def test_bump_rows_match_the_scalar_evaluation_bit_for_bit(diag_bumps):
         assert row.tobytes() == _scalar_bump_eval(P, x).tobytes()
         assert row.tobytes() == rr.perturbation_eval(P, x).tobytes()
     assert np.count_nonzero(rows.any(axis=1)) >= 300
+
+
+
+def test_bump_rows_of_no_points(diag_bumps):
+    assert diag_bumps.rows(np.empty((0, 2))).shape == (0, 2)
+
+
+def test_perturbed_map_with_no_base_preimage_finds_no_root(diag_bumps):
+    # y = (0, 1) leaves the range of the base, so no start exists
+    F = rr.LinearMapping([[1.0, 0.0], [0.0, 0.0]])
+    for f in (diag_bumps, lambda x: diag_bumps(x)):  # batched and row-by-row f
+        G = rr.add_perturbation(F, f, 1.0, origin(2))
+        assert G.inverse_distance([0.1, 0.1], [0.0, 1.0]) == math.inf
+        assert G.inverse_points([0.0, 1.0]) == []
+        assert G.inverse_distances(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+
+
+def test_rg_of_a_destabilized_map_with_empty_refinement_batches(diag_setup, diag_bumps):
+    # refine_samples 2 leaves the refinement jitter with no pairs to propose
+    F, base, sched, _ = diag_setup
+    G = rr.add_perturbation(F, diag_bumps, 1.0, base)
+    est = rr.rg_estimate(G, base, dataclasses.replace(sched, refine_samples=2, refine_rounds=2))
+    assert 0.0 <= est.value < math.inf
 
 
 def _scalar_roots(G, y, starts, damping, max_iter=48):
