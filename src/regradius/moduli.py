@@ -15,7 +15,7 @@ from itertools import compress
 import numpy as np
 
 from . import oracles
-from ._minnorm import PolyhedronProjector
+from ._minnorm import PolyhedronProjector, solve_systems
 from .mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
 from .oracles import MEMBERSHIP_SLACK
 from .spaces import (
@@ -36,6 +36,8 @@ _POS_TOL = 1e-14
 
 #: why `rg_estimate` dropped a pair, in the order of ModulusEstimate.dropped
 DROP_REASONS = ("zero_inverse_distance", "empty_image", "infinite_inverse_distance")
+#: what `rg_plus_estimate` counts, in the order of ModulusEstimate.subproblems
+SUBPROBLEM_COUNTS = ("solved", "infeasible", "low_confidence_points")
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,9 @@ class ModulusEstimate:
     low_confidence: bool = False
     #: pairs an rg estimate dropped, counted per reason of DROP_REASONS
     dropped: tuple[int, ...] = (0,) * len(DROP_REASONS)
+    #: min-norm subproblems an rg+ estimate solved, how many of them were
+    #: infeasible, and how many evaluation points it flagged low-confidence
+    subproblems: tuple[int, ...] = (0,) * len(SUBPROBLEM_COUNTS)
 
     def __post_init__(self):
         if self.kind not in ("rg", "rg_plus", "lip"):
@@ -150,6 +155,8 @@ class ModulusEstimate:
         }
         if self.kind == "rg":
             doc["dropped"] = dict(zip(DROP_REASONS, self.dropped))
+        if self.kind == "rg_plus":
+            doc["subproblems"] = dict(zip(SUBPROBLEM_COUNTS, self.subproblems))
         return doc
 
     @classmethod
@@ -159,9 +166,11 @@ class ModulusEstimate:
 
         per_scale = tuple((float(d), _num(v)) for d, v in doc["per_scale"])
         dropped = doc.get("dropped", {})
+        counts = doc.get("subproblems", {})
         return cls(_num(doc["value"]), per_scale, bool(doc["stabilized"]), kind=kind,
                    low_confidence=bool(doc.get("low_confidence", False)),
-                   dropped=tuple(int(dropped.get(r, 0)) for r in DROP_REASONS))
+                   dropped=tuple(int(dropped.get(r, 0)) for r in DROP_REASONS),
+                   subproblems=tuple(int(counts.get(c, 0)) for c in SUBPROBLEM_COUNTS))
 
 
 def _stabilized(values: list[float]) -> bool:
@@ -177,18 +186,29 @@ def _stabilized(values: list[float]) -> bool:
 # epsilon-normals and coderivative elements
 # ---------------------------------------------------------------------------
 
+def _neighbors(sample: SampledGraph, at: GraphPoint, radius: float):
+    """Offsets (u - x, v - y) and pair distances of the sample points (u, v)
+    within `radius` of `at` = (x, y), `at` itself left out."""
+    sample.index_of(at)  # raises when `at` is not in the sample
+    dists = sample.pair_distances_to(at)
+    # points equal to `at` sit at distance 0 and drop out with it
+    near = (dists > 0.0) & (dists <= radius)
+    return sample.xs[near] - at.x, sample.ys[near] - at.y, dists[near]
+
+
+def _growth_below(du: np.ndarray, dv: np.ndarray, dist: np.ndarray, wx, wy, eps: float) -> bool:
+    """The pairing growth of (wx, wy) stays below (eps - slack) * r over the given neighbors."""
+    growth = du @ wx + dv @ wy
+    return not (growth > (eps - MEMBERSHIP_SLACK) * dist).any()
+
+
 def eps_normal_test(sample: SampledGraph, at: GraphPoint, w_pair, eps: float,
                     test_radius: float) -> bool:
     """Discretized normal-cone test: pairing growth stays below (eps - slack) * r."""
     if test_radius <= 0:
         raise ValueError("test_radius must be positive")
-    sample.index_of(at)  # raises when `at` is not in the sample
-    wx, wy = as_vector(w_pair[0]), as_vector(w_pair[1])
-    dists = sample.pair_distances_to(at)
-    # points equal to `at` sit at distance 0 and drop out with it
-    near = (dists > 0.0) & (dists <= test_radius)
-    growth = (sample.xs[near] - at.x) @ wx + (sample.ys[near] - at.y) @ wy
-    return not (growth > (eps - MEMBERSHIP_SLACK) * dists[near]).any()
+    du, dv, dist = _neighbors(sample, at, test_radius)
+    return _growth_below(du, dv, dist, as_vector(w_pair[0]), as_vector(w_pair[1]), eps)
 
 
 def coderivative_membership(sample: SampledGraph, at: GraphPoint, y_star, x_star,
@@ -244,21 +264,24 @@ def _unit_to_angles(v: np.ndarray) -> np.ndarray:
     return np.array(angles)
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 16) -> float:
+def _golden_min(fun, lo: float, hi: float, iters: int = 16):
+    """Golden-section minimum of fun over [lo, hi], as a solve generator:
+    fun(a) is itself one, returning the value at a."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
+    fc = yield from fun(c)
+    fd = yield from fun(d)
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = fun(c)
+            fc = yield from fun(c)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = fun(d)
+            fd = yield from fun(d)
     return c if fc <= fd else d
 
 
@@ -267,19 +290,118 @@ _CONSTRAINT_CAP = 96
 
 
 def _neighbor_system(sample: SampledGraph, at: GraphPoint, test_radius: float):
-    """Constraint data (G, V, r) from neighbors of `at` within test_radius."""
-    sample.index_of(at)  # raises when `at` is not in the sample
-    dists = sample.pair_distances_to(at)
-    keep = np.flatnonzero((dists > 0.0) & (dists <= test_radius))
-    if len(keep) > _CONSTRAINT_CAP:
-        keep = keep[np.argsort(dists[keep], kind="stable")]
-        keep = keep[(np.arange(_CONSTRAINT_CAP) * (len(keep) / _CONSTRAINT_CAP)).astype(int)]
-    if not len(keep):
+    """Neighbors of `at` within test_radius, as `_neighbors` returns them,
+    plus the indices of the at most _CONSTRAINT_CAP of them that constrain
+    the minimization (None: all of them); None when there is no neighbor."""
+    du, dv, dist = _neighbors(sample, at, test_radius)
+    if not dist.size:
         return None
-    G = sample.xs[keep] - at.x
-    V = sample.ys[keep] - at.y
-    r = dists[keep]
-    return G, V, r
+    rows = None
+    if dist.size > _CONSTRAINT_CAP:
+        rows = np.argsort(dist, kind="stable")
+        rows = rows[(np.arange(_CONSTRAINT_CAP) * (dist.size / _CONSTRAINT_CAP)).astype(int)]
+    return du, dv, dist, rows
+
+
+def _lockstep(runs: list) -> tuple[list, int, int]:
+    """Run solve generators side by side.
+
+    A solve generator yields a (PolyhedronProjector, C) request (C or a
+    function that builds it, as `solve_systems` takes it), receives the
+    request's (X, feasible, values) and finally returns its result.  Each
+    round answers the pending request of every generator with one
+    `solve_systems` call.  Returns the results in the order of `runs`, the
+    number of subproblems (columns) solved and how many were infeasible.
+    """
+    results: list = [None] * len(runs)
+    waiting: list[int] = []
+    requests: list = []
+    solved = infeasible = 0
+
+    def advance(k: int, answer) -> None:
+        try:
+            requests.append(runs[k].send(answer))
+            waiting.append(k)
+        except StopIteration as stop:
+            results[k] = stop.value
+
+    for k in range(len(runs)):
+        advance(k, None)
+    while waiting:
+        answers = solve_systems(requests)
+        batch = waiting[:]
+        waiting.clear()
+        requests.clear()
+        for k, answer in zip(batch, answers):
+            solved += answer[1].size
+            infeasible += int(answer[1].size - answer[1].sum())
+            advance(k, answer)
+    return results, solved, infeasible
+
+
+def _min_coderivative_steps(system, at: GraphPoint, eps: float, directions,
+                            spaces, refine: bool = True):
+    """`min_coderivative_norm` over a neighbor system of `at`, as a solve
+    generator (see `_lockstep`) returning the MinNormCoderivative."""
+    if system is None:
+        elem = CoderivativeElement(at, directions[0], np.zeros(spaces.left.dimension), eps)
+        return MinNormCoderivative(0.0, elem, low_confidence=True)
+    du, dv, dist, rows = system
+    margin = max(2.0 * MEMBERSHIP_SLACK, 1e-6 * eps)
+    proj = PolyhedronProjector(du if rows is None else du[rows], spaces.left.q)
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        """(eps - margin) * r + V y* per constraint row, one column per direction."""
+        V, r = (dv, dist) if rows is None else (dv[rows], dist[rows])
+        if y.ndim == 2:
+            return (eps - margin) * r[:, None] + V @ y
+        return ((eps - margin) * r + V @ y)[:, None]
+
+    # built only when the solve reaches it: a lockstep round holds many sweeps
+    X, feasible, values = yield proj, lambda: rhs(np.column_stack(directions))
+    k = int(np.argmin(values))
+    best_val, best_dir, best_x = math.inf, None, None
+    if feasible[k]:
+        best_val, best_dir, best_x = float(values[k]), directions[k], X[:, k]
+
+    codomain = spaces.right
+    m = codomain.dimension
+    if refine and best_dir is not None and m >= 2:
+        angles = _unit_to_angles(best_dir)
+        width = math.pi / max(4, len(directions) // (2 * m))
+
+        def eval_angle(k: int, a: float):
+            trial = angles.copy()
+            trial[k] = a
+            y = _angles_to_unit(trial, m)
+            y = y / (dual_norm(y, codomain) or 1.0)
+            X, _, values = yield proj, rhs(y)
+            return float(values[0]), y, X[:, 0]
+
+        def value_at(k: int, a: float):
+            return (yield from eval_angle(k, a))[0]
+
+        for sweep in range(2):
+            before = best_val
+            for k in range(angles.size):
+                a_best = yield from _golden_min(lambda a: value_at(k, a),
+                                                angles[k] - width, angles[k] + width, iters=10)
+                val, y, x = yield from eval_angle(k, a_best)
+                if val <= best_val:
+                    angles[k] = a_best
+                    best_val, best_dir, best_x = val, y, x
+            width *= 0.35
+            if sweep == 0 and best_val > before - 3e-3 * max(before, 1e-30):
+                break
+
+    if best_dir is None:
+        return MinNormCoderivative(math.inf, None)
+    elem = CoderivativeElement(at, best_dir, best_x, eps)
+    if abs(dual_norm(best_dir, codomain) - 1.0) > 1e-9:
+        raise ValueError("y* must be a unit dual vector")
+    # solver margin should keep x* a member; flag rather than trust the value
+    member = _growth_below(du, dv, dist, as_vector(best_x), -best_dir, eps)
+    return MinNormCoderivative(best_val, elem, low_confidence=not member)
 
 
 def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
@@ -295,68 +417,19 @@ def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
     directions = [as_vector(d) for d in directions]
     if not directions:
         raise ValueError("at least one direction required")
-    domain = sample.spaces.left
     system = _neighbor_system(sample, at, test_radius)
-    if system is None:
-        elem = CoderivativeElement(at, directions[0], np.zeros(domain.dimension), eps)
-        return MinNormCoderivative(0.0, elem, low_confidence=True)
-    G, V, r = system
-    margin = max(2.0 * MEMBERSHIP_SLACK, 1e-6 * eps)
-    proj = PolyhedronProjector(G, domain.q)
-
-    def solve(y_star: np.ndarray):
-        return proj.solve_one((eps - margin) * r + V @ y_star)
-
-    X, feasible, values = proj.solve_batch((eps - margin) * r[:, None]
-                                           + V @ np.column_stack(directions))
-    k = int(np.argmin(values))
-    best_val, best_dir, best_x = math.inf, None, None
-    if feasible[k]:
-        best_val, best_dir, best_x = float(values[k]), directions[k], X[:, k]
-
-    m = sample.spaces.right.dimension
-    if refine and best_dir is not None and m >= 2:
-        angles = _unit_to_angles(best_dir)
-        width = math.pi / max(4, len(directions) // (2 * m))
-        codomain = sample.spaces.right
-
-        def eval_angle(k: int, a: float) -> tuple[float, np.ndarray, np.ndarray]:
-            trial = angles.copy()
-            trial[k] = a
-            y = _angles_to_unit(trial, m)
-            y = y / (dual_norm(y, codomain) or 1.0)
-            s = solve(y)
-            return s.value, y, s.x
-
-        for sweep in range(2):
-            before = best_val
-            for k in range(angles.size):
-                a_best = _golden_min(lambda a: eval_angle(k, a)[0],
-                                     angles[k] - width, angles[k] + width, iters=10)
-                val, y, x = eval_angle(k, a_best)
-                if val <= best_val:
-                    angles[k] = a_best
-                    best_val, best_dir, best_x = val, y, x
-            width *= 0.35
-            if sweep == 0 and best_val > before - 3e-3 * max(before, 1e-30):
-                break
-
-    if best_dir is None:
-        return MinNormCoderivative(math.inf, None)
-    elem = CoderivativeElement(at, best_dir, best_x, eps)
-    if not coderivative_membership(sample, at, best_dir, best_x, eps, test_radius):
-        # solver margin should prevent this; flag rather than trust the value
-        return MinNormCoderivative(best_val, elem, low_confidence=True)
-    return MinNormCoderivative(best_val, elem, low_confidence=False)
+    (res,), _, _ = _lockstep([_min_coderivative_steps(system, at, eps, directions,
+                                                      sample.spaces, refine)])
+    return res
 
 
 # ---------------------------------------------------------------------------
 # coderivative constant (liminf of minimal coderivative norms)
 # ---------------------------------------------------------------------------
 
-def _witness_solve(sample: SampledGraph, pt: GraphPoint, eps_scale: float,
-                   dirs, test_radius: float) -> tuple[MinNormCoderivative, float]:
-    """Re-solve at a witness point over a ladder of epsilons, smallest first.
+def _witness_solve(system, pt: GraphPoint, eps_scale: float, dirs, spaces):
+    """Re-solve at a witness point over a ladder of epsilons, smallest first,
+    as a solve generator returning (result, epsilon).
 
     The scale epsilon realizes the sup-inf trail, but harvested witnesses
     should carry slopes near the limiting value, which the smallest feasible
@@ -364,12 +437,12 @@ def _witness_solve(sample: SampledGraph, pt: GraphPoint, eps_scale: float,
     whose curvature makes tiny epsilons infeasible at this radius.
     """
     for rung in (eps_scale * 4.0**-4, eps_scale * 4.0**-2, eps_scale):
-        res = min_coderivative_norm(sample, pt, rung, dirs, test_radius, refine=False)
+        res = yield from _min_coderivative_steps(system, pt, rung, dirs, spaces, refine=False)
         if res.feasible and not res.low_confidence:
-            res = min_coderivative_norm(sample, pt, rung, dirs, test_radius)
+            res = yield from _min_coderivative_steps(system, pt, rung, dirs, spaces)
             if res.feasible:
                 return res, rung
-    res = min_coderivative_norm(sample, pt, eps_scale, dirs, test_radius)
+    res = yield from _min_coderivative_steps(system, pt, eps_scale, dirs, spaces)
     return res, eps_scale
 
 
@@ -388,6 +461,41 @@ def _local_system_sample(F: MappingModel, pt: GraphPoint, radius: float,
     return SampledGraph(pt, merged, radius, global_sample.spaces)
 
 
+def _scale_sample(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule, j: int) -> SampledGraph:
+    return sample_graph(F, base, schedule.radii[j], schedule.samples_per_scale,
+                        seed=schedule.seed + 101 * j)
+
+
+def _point_system(F: MappingModel, sample: SampledGraph, i: int, j: int, halving: int,
+                  schedule: ScaleSchedule):
+    """Neighbor system of evaluation point i of scale j (`sample` is that
+    scale's sample) at the halving-th test radius."""
+    pt = sample.points[i]
+    test_r = 0.5 * schedule.radii[j] * 2.0 ** -halving
+    local = _local_system_sample(F, pt, test_r, sample, schedule.samples_per_scale // 2,
+                                 seed=schedule.seed + 101 * j + 7 * i + halving)
+    return _neighbor_system(local, pt, test_r)
+
+
+def _eval_point_solve(F: MappingModel, pt: GraphPoint, i: int, j: int, system, dirs,
+                      schedule: ScaleSchedule, scale_sample):
+    """The minimal coderivative norm at evaluation point i of scale j, whose
+    neighbor system at the full test radius is `system`, as a solve generator
+    returning (result, point, neighbor system).  A retry at a smaller radius
+    gets the scale's sample from scale_sample(j)."""
+    # the normal-cone quotient is a limit over shrinking neighborhoods:
+    # when the full-radius system is infeasible (a second graph branch
+    # inside the window), retry at smaller radii before giving up
+    for halving in range(4):
+        if halving:
+            system = _point_system(F, scale_sample(j), i, j, halving, schedule)
+        res = yield from _min_coderivative_steps(system, pt, schedule.epsilons[j], dirs,
+                                                 F.product_spec)
+        if res.feasible:
+            break
+    return res, pt, system
+
+
 def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule) -> ModulusEstimate:
     """Per scale: sample the graph, evaluate the minimal coderivative norm at
     spread-out graph points near the base, and take the infimum; the estimate
@@ -396,57 +504,66 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
     Witness elements are re-solved at the smallest feasible epsilon so their
     slope norms track the limiting value at every scale, and witness points
     prefer the middle distance band so downstream constructions get centers
-    away from the base point."""
+    away from the base point.
+
+    The evaluation points of all scales run in lockstep, and then the witness
+    ladders of all scales: each round solves the pending min-norm subproblem
+    of every one of them in one call."""
     m = F.codomain.dimension
     dirs = sphere_grid(F.codomain, max(2 * m, schedule.directions), seed=schedule.seed)
-    per_scale: list[tuple[float, float]] = []
-    raw_witnesses: list[tuple[GraphPoint, CoderivativeElement, float, float, float]] = []
-    low_conf = False
-    for j, (delta, eps) in enumerate(zip(schedule.radii, schedule.epsilons)):
-        sample = sample_graph(F, base, delta, schedule.samples_per_scale,
-                              seed=schedule.seed + 101 * j)
+    spaces = F.product_spec
+    # retries are rare: a scale's sample is rebuilt from its seed for them
+    # rather than kept alive through the lockstep run
+    rebuilt: dict[int, SampledGraph] = {}
+
+    def scale_sample(j: int) -> SampledGraph:
+        if j not in rebuilt:
+            rebuilt[j] = _scale_sample(F, base, schedule, j)
+        return rebuilt[j]
+
+    runs, scale_of = [], []
+    for j, delta in enumerate(schedule.radii):
+        sample = _scale_sample(F, base, schedule, j)
         dists = sample.pair_distances_to(base)
         order = np.argsort(dists)
         inside = [int(i) for i in order if dists[i] <= 0.5 * delta]
         if len(inside) > schedule.eval_points:
             picks = np.unique(np.round(np.linspace(0, len(inside) - 1, schedule.eval_points)).astype(int))
             inside = [inside[i] for i in picks]
-        results = []
-        for i in inside:
-            pt = sample.points[i]
-            # the normal-cone quotient is a limit over shrinking neighborhoods:
-            # when the full-radius system is infeasible (a second graph branch
-            # inside the window), retry at smaller radii before giving up
-            res, local = None, None
-            for halving in range(4):
-                test_r = 0.5 * delta * 2.0 ** -halving
-                local = _local_system_sample(F, pt, test_r, sample,
-                                             schedule.samples_per_scale // 2,
-                                             seed=schedule.seed + 101 * j + 7 * i + halving)
-                res = min_coderivative_norm(local, pt, eps, dirs, test_radius=test_r)
-                if res.feasible:
-                    break
-            low_conf = low_conf or res.low_confidence
-            if res.feasible:
-                results.append((res.value, pt, local, test_r))
+        runs += [_eval_point_solve(F, sample.points[i], i, j,
+                                   _point_system(F, sample, i, j, 0, schedule), dirs, schedule,
+                                   scale_sample)
+                 for i in inside]
+        scale_of += [j] * len(inside)
+    evaluated, solved, infeasible = _lockstep(runs)
+    low_points = sum(res.low_confidence for res, _, _ in evaluated)
+
+    per_scale: list[tuple[float, float]] = []
+    ladders, ladder_scales = [], []
+    domain = F.domain
+    for j, (delta, eps) in enumerate(zip(schedule.radii, schedule.epsilons)):
+        results = [(res.value, pt, system) for (res, pt, system), s in zip(evaluated, scale_of)
+                   if s == j and res.feasible]
         if not results:
             per_scale.append((delta, math.inf))
             continue
-        inf_val = min(v for v, _, _, _ in results)
+        inf_val = min(v for v, _, _ in results)
         per_scale.append((delta, inf_val))
 
         # witness point: among near-minimal values prefer the candidate whose
         # distance from the base is closest to a quarter of the scale radius,
         # so harvested center distances track the schedule ratio
-        domain = F.domain
         near = [t for t in results if t[0] <= inf_val * 1.05 + 1e-12]
         offbase = [t for t in near if norm(t[1].x - base.x, domain) > 0.0]
         pool = offbase if offbase else near
-        _, w_pt, w_sys, w_radius = min(
+        _, w_pt, w_sys = min(
             pool, key=lambda t: abs(norm(t[1].x - base.x, domain) - delta / 4.0))
-        res, eps_w = _witness_solve(w_sys, w_pt, eps, dirs, w_radius)
-        if res.feasible:
-            raw_witnesses.append((w_pt, res.element, eps_w, delta, res.value))
+        ladders.append(_witness_solve(w_sys, w_pt, eps, dirs, spaces))
+        ladder_scales.append((w_pt, delta))
+    laddered, w_solved, w_infeasible = _lockstep(ladders)
+    raw_witnesses = [(w_pt, res.element, eps_w, delta, res.value)
+                     for (res, eps_w), (w_pt, delta) in zip(laddered, ladder_scales)
+                     if res.feasible]
 
     # enforce strictly decreasing witness epsilons (raising earlier ones only,
     # which keeps every membership certificate valid)
@@ -465,7 +582,8 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
     values = [v for _, v in per_scale]
     return ModulusEstimate(values[-1], tuple(per_scale), _stabilized(values),
                            kind="rg_plus", witnesses=tuple(witnesses),
-                           low_confidence=low_conf)
+                           low_confidence=low_points > 0,
+                           subproblems=(solved + w_solved, infeasible + w_infeasible, low_points))
 
 
 # ---------------------------------------------------------------------------

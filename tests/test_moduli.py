@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import regradius as rr
-from regradius.moduli import (DROP_REASONS, MinNormCoderivative, ModulusEstimate,
-                              min_coderivative_norm)
+from regradius.moduli import (DROP_REASONS, SUBPROBLEM_COUNTS, MinNormCoderivative,
+                              ModulusEstimate, _local_system_sample, min_coderivative_norm)
 
 from helpers import (branch_map, diag_map, fast_schedule, forbid_oracle, identity_map, origin,
                      parabola_map)
@@ -196,6 +196,109 @@ def test_rg_plus_witnesses_recorded_per_scale():
     assert all(b < a for a, b in zip(eps, eps[1:]))
     for w in est.witnesses:
         assert rr.dual_norm(w.x_star, rr.NormSpec(2)) == pytest.approx(0.5, rel=0.10)
+
+
+
+def _rg_plus_point_by_point(F, base, schedule):
+    """rg_plus_estimate solving one evaluation point after another, each
+    through the public min_coderivative_norm: a literal copy of the
+    estimator's loop before its points ran in lockstep.  Returns the trail,
+    the low-confidence flag and the witnesses."""
+    def witness_solve(sample, pt, eps_scale, dirs, test_radius):
+        for rung in (eps_scale * 4.0**-4, eps_scale * 4.0**-2, eps_scale):
+            res = min_coderivative_norm(sample, pt, rung, dirs, test_radius, refine=False)
+            if res.feasible and not res.low_confidence:
+                res = min_coderivative_norm(sample, pt, rung, dirs, test_radius)
+                if res.feasible:
+                    return res, rung
+        res = min_coderivative_norm(sample, pt, eps_scale, dirs, test_radius)
+        return res, eps_scale
+
+    m = F.codomain.dimension
+    dirs = rr.sphere_grid(F.codomain, max(2 * m, schedule.directions), seed=schedule.seed)
+    per_scale, raw_witnesses, low_conf = [], [], False
+    for j, (delta, eps) in enumerate(zip(schedule.radii, schedule.epsilons)):
+        sample = rr.sample_graph(F, base, delta, schedule.samples_per_scale,
+                                 seed=schedule.seed + 101 * j)
+        dists = sample.pair_distances_to(base)
+        order = np.argsort(dists)
+        inside = [int(i) for i in order if dists[i] <= 0.5 * delta]
+        if len(inside) > schedule.eval_points:
+            picks = np.unique(np.round(np.linspace(0, len(inside) - 1,
+                                                   schedule.eval_points)).astype(int))
+            inside = [inside[i] for i in picks]
+        results = []
+        for i in inside:
+            pt = sample.points[i]
+            res, local = None, None
+            for halving in range(4):
+                test_r = 0.5 * delta * 2.0 ** -halving
+                local = _local_system_sample(F, pt, test_r, sample,
+                                             schedule.samples_per_scale // 2,
+                                             seed=schedule.seed + 101 * j + 7 * i + halving)
+                res = min_coderivative_norm(local, pt, eps, dirs, test_radius=test_r)
+                if res.feasible:
+                    break
+            low_conf = low_conf or res.low_confidence
+            if res.feasible:
+                results.append((res.value, pt, local, test_r))
+        if not results:
+            per_scale.append((delta, math.inf))
+            continue
+        inf_val = min(v for v, _, _, _ in results)
+        per_scale.append((delta, inf_val))
+        near = [t for t in results if t[0] <= inf_val * 1.05 + 1e-12]
+        offbase = [t for t in near if rr.norm(t[1].x - base.x, F.domain) > 0.0]
+        pool = offbase if offbase else near
+        _, w_pt, w_sys, w_radius = min(
+            pool, key=lambda t: abs(rr.norm(t[1].x - base.x, F.domain) - delta / 4.0))
+        res, eps_w = witness_solve(w_sys, w_pt, eps, dirs, w_radius)
+        if res.feasible:
+            raw_witnesses.append((w_pt, res.element, eps_w, delta, res.value))
+
+    witnesses, next_eps, fixed = [], None, []
+    for (_, _, eps_w, _, _) in reversed(raw_witnesses):
+        if next_eps is not None and eps_w <= next_eps:
+            eps_w = next_eps / 0.9
+        fixed.append(eps_w)
+        next_eps = eps_w
+    fixed.reverse()
+    for (pt, elem, _, delta, val), eps_w in zip(raw_witnesses, fixed):
+        witnesses.append((pt.x, pt.y, elem.y_star, elem.x_star, eps_w, delta, val))
+    return per_scale, low_conf, witnesses
+
+
+@pytest.mark.parametrize("F", [diag_map(2.0, 0.5),
+                               rr.LinearMapping(np.array([[1.2, 0.3, -0.1],
+                                                          [0.2, 0.7, 0.4],
+                                                          [-0.3, 0.1, 0.35]]))],
+                         ids=["2x2", "3x3"])
+def test_rg_plus_matches_the_point_by_point_loop(F):
+    n = F.domain.dimension
+    schedule = fast_schedule(5)
+    est = rr.rg_plus_estimate(F, origin(n), schedule)
+    per_scale, low_conf, witnesses = _rg_plus_point_by_point(F, origin(n), schedule)
+    assert est.per_scale == tuple(per_scale)
+    assert est.low_confidence == low_conf
+    assert len(est.witnesses) == len(witnesses) == schedule.levels
+    for w, (x, y, y_star, x_star, eps, delta, value) in zip(est.witnesses, witnesses):
+        assert np.array_equal(w.point.x, x) and np.array_equal(w.point.y, y)
+        assert np.array_equal(w.y_star, y_star) and np.array_equal(w.x_star, x_star)
+        assert (w.eps, w.delta, w.value) == (eps, delta, value)
+
+
+def test_rg_plus_counts_its_subproblems():
+    est = rr.rg_plus_estimate(parabola_map(), origin(), fast_schedule(4))
+    counts = dict(zip(SUBPROBLEM_COUNTS, est.subproblems))
+    assert counts["solved"] > counts["infeasible"] > 0
+    assert est.low_confidence == (counts["low_confidence_points"] > 0)
+    doc = est.to_json()
+    assert doc["subproblems"] == counts
+    assert ModulusEstimate.from_json(doc, kind="rg_plus").subproblems == est.subproblems
+    del doc["subproblems"]
+    assert ModulusEstimate.from_json(doc, kind="rg_plus").subproblems == (0, 0, 0)
+    assert "subproblems" not in rr.rg_estimate(
+        identity_map(), origin(), fast_schedule(4, samples_per_scale=30)).to_json()
 
 
 POLYHEDRAL_A = np.array([[2.0, 0.3], [-0.2, 0.6]])
