@@ -334,9 +334,8 @@ class PerturbedMapping(MappingModel):
         return [w + shift for w in self.base.images(x)]
 
     def distance_to_image(self, x, y) -> float:
-        x = as_vector(x)
-        shifted = as_vector(y) - self.scale * as_vector(self.f(x))
-        return self.base.distance_to_image(x, shifted)
+        """distances_to_image of one pair."""
+        return float(self.distances_to_image(as_vector(x)[None], as_vector(y)[None])[0])
 
     def _f_rows(self, X: np.ndarray) -> np.ndarray:
         rows = getattr(self.f, "rows", None)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracles
 from ._minnorm import PolyhedronProjector, solve_systems
-from .mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
+from .mappings import FiniteGraphMapping, GraphPoint, MappingModel, SampledGraph, sample_graph
 from .oracles import MEMBERSHIP_SLACK
 from .spaces import (
     NormSpec,
@@ -264,9 +264,10 @@ def _unit_to_angles(v: np.ndarray) -> np.ndarray:
     return np.array(angles)
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 16):
+def _golden_min(fun, lo: float, hi: float, iters: int):
     """Golden-section minimum of fun over [lo, hi], as a solve generator:
-    fun(a) is itself one, returning the value at a."""
+    fun(a) is itself one, returning a tuple whose first entry is the value
+    at a.  Returns the best bracket point and fun's tuple for it."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
@@ -274,7 +275,7 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 16):
     fc = yield from fun(c)
     fd = yield from fun(d)
     for _ in range(iters):
-        if fc <= fd:
+        if fc[0] <= fd[0]:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
             fc = yield from fun(c)
@@ -282,7 +283,7 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 16):
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = yield from fun(d)
-    return c if fc <= fd else d
+    return (c, fc) if fc[0] <= fd[0] else (d, fd)
 
 
 #: cap on constraint rows per minimization (radially stratified subselection)
@@ -378,15 +379,11 @@ def _min_coderivative_steps(system, at: GraphPoint, eps: float, directions,
             X, _, values = yield proj, rhs(y)
             return float(values[0]), y, X[:, 0]
 
-        def value_at(k: int, a: float):
-            return (yield from eval_angle(k, a))[0]
-
         for sweep in range(2):
             before = best_val
             for k in range(angles.size):
-                a_best = yield from _golden_min(lambda a: value_at(k, a),
-                                                angles[k] - width, angles[k] + width, iters=10)
-                val, y, x = yield from eval_angle(k, a_best)
+                a_best, (val, y, x) = yield from _golden_min(
+                    lambda a: eval_angle(k, a), angles[k] - width, angles[k] + width, iters=10)
                 if val <= best_val:
                     angles[k] = a_best
                     best_val, best_dir, best_x = val, y, x
@@ -427,23 +424,23 @@ def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
 # coderivative constant (liminf of minimal coderivative norms)
 # ---------------------------------------------------------------------------
 
-def _witness_solve(system, pt: GraphPoint, eps_scale: float, dirs, spaces):
+def _witness_solve(system, pt: GraphPoint, eps_scale: float, scale_res, dirs, spaces):
     """Re-solve at a witness point over a ladder of epsilons, smallest first,
-    as a solve generator returning (result, epsilon).
+    as a solve generator returning (result, epsilon).  scale_res is the
+    point's result over `system` at the scale epsilon.
 
     The scale epsilon realizes the sup-inf trail, but harvested witnesses
     should carry slopes near the limiting value, which the smallest feasible
     epsilon delivers; the ladder falls back to the scale epsilon on graphs
     whose curvature makes tiny epsilons infeasible at this radius.
     """
-    for rung in (eps_scale * 4.0**-4, eps_scale * 4.0**-2, eps_scale):
+    for rung in (eps_scale * 4.0**-4, eps_scale * 4.0**-2):
         res = yield from _min_coderivative_steps(system, pt, rung, dirs, spaces, refine=False)
         if res.feasible and not res.low_confidence:
             res = yield from _min_coderivative_steps(system, pt, rung, dirs, spaces)
             if res.feasible:
                 return res, rung
-    res = yield from _min_coderivative_steps(system, pt, eps_scale, dirs, spaces)
-    return res, eps_scale
+    return scale_res, eps_scale
 
 
 def _local_system_sample(F: MappingModel, pt: GraphPoint, radius: float,
@@ -461,7 +458,8 @@ def _local_system_sample(F: MappingModel, pt: GraphPoint, radius: float,
     return SampledGraph(pt, merged, radius, global_sample.spaces)
 
 
-def _scale_sample(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule, j: int) -> SampledGraph:
+def scale_sample(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule, j: int) -> SampledGraph:
+    """The graph sample of scale j of `schedule`, as rg+ draws it."""
     return sample_graph(F, base, schedule.radii[j], schedule.samples_per_scale,
                         seed=schedule.seed + 101 * j)
 
@@ -478,17 +476,17 @@ def _point_system(F: MappingModel, sample: SampledGraph, i: int, j: int, halving
 
 
 def _eval_point_solve(F: MappingModel, pt: GraphPoint, i: int, j: int, system, dirs,
-                      schedule: ScaleSchedule, scale_sample):
+                      schedule: ScaleSchedule, sample_of):
     """The minimal coderivative norm at evaluation point i of scale j, whose
     neighbor system at the full test radius is `system`, as a solve generator
     returning (result, point, neighbor system).  A retry at a smaller radius
-    gets the scale's sample from scale_sample(j)."""
+    gets the scale's sample from sample_of(j)."""
     # the normal-cone quotient is a limit over shrinking neighborhoods:
     # when the full-radius system is infeasible (a second graph branch
     # inside the window), retry at smaller radii before giving up
     for halving in range(4):
         if halving:
-            system = _point_system(F, scale_sample(j), i, j, halving, schedule)
+            system = _point_system(F, sample_of(j), i, j, halving, schedule)
         res = yield from _min_coderivative_steps(system, pt, schedule.epsilons[j], dirs,
                                                  F.product_spec)
         if res.feasible:
@@ -516,14 +514,14 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
     # rather than kept alive through the lockstep run
     rebuilt: dict[int, SampledGraph] = {}
 
-    def scale_sample(j: int) -> SampledGraph:
+    def sample_of(j: int) -> SampledGraph:
         if j not in rebuilt:
-            rebuilt[j] = _scale_sample(F, base, schedule, j)
+            rebuilt[j] = scale_sample(F, base, schedule, j)
         return rebuilt[j]
 
     runs, scale_of = [], []
     for j, delta in enumerate(schedule.radii):
-        sample = _scale_sample(F, base, schedule, j)
+        sample = scale_sample(F, base, schedule, j)
         dists = sample.pair_distances_to(base)
         order = np.argsort(dists)
         inside = [int(i) for i in order if dists[i] <= 0.5 * delta]
@@ -532,7 +530,7 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
             inside = [inside[i] for i in picks]
         runs += [_eval_point_solve(F, sample.points[i], i, j,
                                    _point_system(F, sample, i, j, 0, schedule), dirs, schedule,
-                                   scale_sample)
+                                   sample_of)
                  for i in inside]
         scale_of += [j] * len(inside)
     evaluated, solved, infeasible = _lockstep(runs)
@@ -542,23 +540,23 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
     ladders, ladder_scales = [], []
     domain = F.domain
     for j, (delta, eps) in enumerate(zip(schedule.radii, schedule.epsilons)):
-        results = [(res.value, pt, system) for (res, pt, system), s in zip(evaluated, scale_of)
+        results = [(res, pt, system) for (res, pt, system), s in zip(evaluated, scale_of)
                    if s == j and res.feasible]
         if not results:
             per_scale.append((delta, math.inf))
             continue
-        inf_val = min(v for v, _, _ in results)
+        inf_val = min(res.value for res, _, _ in results)
         per_scale.append((delta, inf_val))
 
         # witness point: among near-minimal values prefer the candidate whose
         # distance from the base is closest to a quarter of the scale radius,
         # so harvested center distances track the schedule ratio
-        near = [t for t in results if t[0] <= inf_val * 1.05 + 1e-12]
+        near = [t for t in results if t[0].value <= inf_val * 1.05 + 1e-12]
         offbase = [t for t in near if norm(t[1].x - base.x, domain) > 0.0]
         pool = offbase if offbase else near
-        _, w_pt, w_sys = min(
+        w_res, w_pt, w_sys = min(
             pool, key=lambda t: abs(norm(t[1].x - base.x, domain) - delta / 4.0))
-        ladders.append(_witness_solve(w_sys, w_pt, eps, dirs, spaces))
+        ladders.append(_witness_solve(w_sys, w_pt, eps, w_res, dirs, spaces))
         ladder_scales.append((w_pt, delta))
     laddered, w_solved, w_infeasible = _lockstep(ladders)
     raw_witnesses = [(w_pt, res.element, eps_w, delta, res.value)
@@ -835,8 +833,6 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
     sampled pair has a positive inverse distance.  The estimate counts the
     pairs the pool dropped, per reason of DROP_REASONS.
     """
-    from .mappings import FiniteGraphMapping
-
     pool = _RatioPool(F, base)
     domain, codomain = F.domain, F.codomain
     # stored graphs carry no off-sample range information: restrict y draws

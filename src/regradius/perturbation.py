@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import moduli
-from .mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
+from .mappings import GraphPoint, MappingModel, SampledGraph
 from .spaces import NormSpec, as_vector, dual_norm, generator, norm, norms, pairing
 
 #: bump indices count along a tail of the witness sequence; keeps every
@@ -258,9 +258,7 @@ def extract_witness(F: MappingModel, base: GraphPoint, schedule: moduli.ScaleSch
     for pos, w in enumerate(rg_plus.witnesses[:K], start=1):
         entry = WitnessEntry(w.point.x, w.point.y, w.eps, w.y_star, w.x_star, k=pos)
         if norm(entry.x - base.x, F.domain) <= _BASE_EQ_TOL:
-            j = schedule.radii.index(w.delta)
-            sample = sample_graph(F, base, w.delta, schedule.samples_per_scale,
-                                  seed=schedule.seed + 101 * j)
+            sample = moduli.scale_sample(F, base, schedule, schedule.radii.index(w.delta))
             entry, _ = relocate_witness_ekeland(sample, base, entry)
         entries.append(entry)
     norms = [dual_norm(e.x_star, F.domain) for e in entries]

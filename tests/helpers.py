@@ -73,3 +73,23 @@ def forbid_oracle(monkeypatch, name):
     for module in (oracles, mappings, moduli, perturbation, radius):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, forbidden)
+
+
+def record_solved_columns(monkeypatch):
+    """Record every column that `moduli` hands to the min-norm solver, as
+    (G bytes, q, column bytes), in the returned list.  A request whose C is a
+    function gets it built; every request then reaches the solver."""
+    from regradius import _minnorm, moduli
+
+    columns = []
+
+    def recording(requests):
+        built = []
+        for proj, C in requests:
+            C = np.asarray(C() if callable(C) else C, dtype=float)
+            columns.extend((proj._G.tobytes(), proj.q, c.tobytes()) for c in C.T)
+            built.append((proj, C))
+        return _minnorm.solve_systems(built)
+
+    monkeypatch.setattr(moduli, "solve_systems", recording)
+    return columns

@@ -8,7 +8,7 @@ from regradius.moduli import (DROP_REASONS, SUBPROBLEM_COUNTS, MinNormCoderivati
                               ModulusEstimate, _local_system_sample, min_coderivative_norm)
 
 from helpers import (branch_map, diag_map, fast_schedule, forbid_oracle, identity_map, origin,
-                     parabola_map)
+                     parabola_map, random_conditioned_matrix, record_solved_columns)
 
 
 def test_schedule_validation():
@@ -141,6 +141,19 @@ def test_min_coderivative_norm_self_consistent():
     assert res.feasible and not res.low_confidence
     assert rr.coderivative_membership(sample, sample.base, res.element.y_star,
                                       res.element.x_star, 1e-3, test_radius=0.4)
+
+
+def test_min_coderivative_norm_solves_each_column_once(monkeypatch):
+    # the 3x3 map of the point-by-point test below; refinement runs golden
+    # searches, whose winning bracket point the search has already solved
+    F = rr.LinearMapping(np.array([[1.2, 0.3, -0.1], [0.2, 0.7, 0.4], [-0.3, 0.1, 0.35]]))
+    sample = rr.sample_graph(F, origin(3), 0.3, 120, seed=2)
+    dirs = rr.sphere_grid(F.codomain, 24, seed=0)
+    columns = record_solved_columns(monkeypatch)
+    res = min_coderivative_norm(sample, sample.base, 0.05, dirs, test_radius=0.15)
+    assert res.feasible and len(columns) > len(dirs)
+    repeated = len(columns) - len(set(columns))
+    assert repeated == 0
 
 
 def test_rg_estimate_identity():
@@ -285,6 +298,20 @@ def test_rg_plus_matches_the_point_by_point_loop(F):
         assert np.array_equal(w.point.x, x) and np.array_equal(w.point.y, y)
         assert np.array_equal(w.y_star, y_star) and np.array_equal(w.x_star, x_star)
         assert (w.eps, w.delta, w.value) == (eps, delta, value)
+
+
+def test_rg_plus_witness_ladder_reuses_the_scale_result(monkeypatch):
+    A, _ = random_conditioned_matrix(3)
+    schedule = fast_schedule(5)
+    columns = record_solved_columns(monkeypatch)
+    est = rr.rg_plus_estimate(rr.LinearMapping(A), origin(3), schedule)
+    # every ladder falls through to the scale epsilon, whose result the
+    # evaluation pass already holds for the witness point's system
+    assert len(est.witnesses) == schedule.levels
+    for w in est.witnesses:
+        assert w.eps == schedule.epsilons[schedule.radii.index(w.delta)]
+    repeated = len(columns) - len(set(columns))
+    assert repeated == 0
 
 
 def test_rg_plus_counts_its_subproblems():
