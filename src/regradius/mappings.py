@@ -1,11 +1,14 @@
-"""Set-valued mapping models F: R^n =: R^m with image and inverse-distance oracles.
+"""Set-valued mapping models F: R^n =: R^m and their oracles.
 
 Four variants are supported: Linear (single-valued A x), Smooth (a finite
 union of continuous branches), FiniteGraph (a stored point sample of the
 graph) and Perturbed (base + scale * f for a single-valued f).  Each variant
-supplies images(), distance_to_image() and inverse_distance(), and their
-row-batched forms distances_to_image() and inverse_distances(); graphs are
-sampled deterministically on nested shells.
+supplies two batched oracles: image_rows() lists every image of every row of
+an array, preimage_rows() every preimage candidate.  MappingModel derives
+the rest from them: the distances d(y, F(x)) and d(x, F^{-1}(y)) of many
+pairs at once, and the one-row images(), inverse_points(),
+distance_to_image() and inverse_distance().  Graphs are sampled
+deterministically on nested shells.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._minnorm import min_dual_norm_point
+from ._minnorm import PolyhedronProjector
 from .spaces import (
     DimensionMismatchError,
     NormSpec,
@@ -26,7 +29,6 @@ from .spaces import (
     generator,
     norm,
     norms,
-    pair_norm_primal,
 )
 
 #: residual below which a point counts as lying on a graph
@@ -113,7 +115,9 @@ class SampledGraph:
 
 
 class MappingModel:
-    """Base interface shared by every mapping variant."""
+    """Base interface shared by every mapping variant.  A variant implements
+    image_rows and preimage_rows, which return (owner, V): V[k] is a value
+    for row owner[k] of the argument, rows in order; the rest is derived."""
 
     #: whether inverse_distance certifies emptiness exactly (+inf is trustworthy)
     exact_inverse = True
@@ -126,55 +130,78 @@ class MappingModel:
     def product_spec(self) -> ProductNormSpec:
         return ProductNormSpec(self.domain, self.codomain)
 
-    def images(self, x) -> list[np.ndarray]:
+    def image_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Every image of every row of X."""
         raise NotImplementedError
+
+    def preimage_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        """Every preimage candidate of every row of Y (exact where available)."""
+        raise InverseOracleUnavailableError(type(self).__name__)
+
+    def images(self, x) -> list[np.ndarray]:
+        return list(self.image_rows(as_vector(x)[None])[1])
+
+    def inverse_points(self, y) -> list[np.ndarray]:
+        return list(self.preimage_rows(as_vector(y)[None])[1])
 
     def distance_to_image(self, x, y) -> float:
         """d(y, F(x)); +inf when F(x) is empty."""
-        y = as_vector(y)
-        best = math.inf
-        for w in self.images(x):
-            d = norm(y - w, self.codomain)
-            if d < best:
-                best = d
-        return best
+        return float(self.distances_to_image(as_vector(x)[None], as_vector(y)[None])[0])
 
-    def inverse_distance(self, x, y) -> float:
-        """d(x, F^{-1}(y)); +inf when the preimage is empty."""
-        raise NotImplementedError
-
-    def inverse_points(self, y) -> list[np.ndarray]:
-        """Finite set of preimage candidates of y (exact where available)."""
-        raise InverseOracleUnavailableError(type(self).__name__)
+    def inverse_distance(self, x, y, root=None) -> float:
+        """d(x, F^{-1}(y)); +inf when the preimage is empty.  root is a
+        root-finding start, used only where the inverse distance is not exact."""
+        root = None if root is None else as_vector(root)[None]
+        return float(self.inverse_distances(as_vector(x)[None], as_vector(y)[None], root)[0])
 
     def distances_to_image(self, x, y) -> np.ndarray:
         """distance_to_image of each row pair (x[i], y[i])."""
-        return np.array([self.distance_to_image(xi, yi) for xi, yi in zip(x, y)], dtype=float)
+        y = np.asarray(y, dtype=float)
+        owner, W = self.image_rows(x)
+        return _least(len(y), owner, norms(y[owner] - W, self.codomain))
 
     def inverse_distances(self, x, y, roots=None) -> np.ndarray:
-        """inverse_distance of each row pair (x[i], y[i]).  roots[i] is a
-        root-finding start for pair i, used only where the inverse distance is
-        not exact."""
-        return np.array([self.inverse_distance(xi, yi) for xi, yi in zip(x, y)], dtype=float)
+        """inverse_distance of each row pair (x[i], y[i]); roots[i] is a root-finding
+        start for pair i, used only where the inverse distance is not exact."""
+        x = np.asarray(x, dtype=float)
+        owner, U = self.preimage_rows(y)
+        return _least(len(x), owner, norms(x[owner] - U, self.domain))
 
     def _nearest_preimages(self, targets, near) -> tuple[np.ndarray, np.ndarray]:
-        """For each row, the inverse_points candidate of targets[i] nearest to
-        near[i] (the first on ties, as `min` picks it), and the mask of the rows
-        that have one."""
-        out = np.array(near, dtype=float)
-        found = np.zeros(len(out), dtype=bool)
-        for i, (t, u) in enumerate(zip(targets, near)):
-            cands = self.inverse_points(t)
-            if cands:
-                out[i] = min(cands, key=lambda c: norm(c - u, self.domain))
-                found[i] = True
-        return out, found
+        """The preimage candidate of targets[i] nearest to near[i] (the first
+        on ties), for every row i that has one: (rows ascending, candidates)."""
+        owner, U = self.preimage_rows(targets)
+        pick = nearest_per_owner(owner, norms(U - np.asarray(near, dtype=float)[owner], self.domain))
+        return owner[pick], U[pick]
 
 
-def _off_range(residual, target):
-    """Whether pinv @ y fails to solve A u = y: the residual norm exceeds
-    1e-9 (1 + ||y||).  Works on norms and on arrays of row norms alike."""
-    return residual > 1e-9 * (1.0 + target)
+def _least(count: int, owner: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The least d of each owner in range(count); +inf for an owner with none."""
+    out = np.full(count, math.inf)
+    np.minimum.at(out, owner, d)
+    return out
+
+
+def nearest_per_owner(owner: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Index of the least d of each owner, the first one on ties (as `min`
+    picks it), owners ascending."""
+    order = np.lexsort((d, owner))
+    return order[np.unique(owner[order], return_index=True)[1]]
+
+
+def f_rows(f, X: np.ndarray, m: int) -> np.ndarray:
+    """f at each row of X, as rows of length m: through f.rows where f has
+    it (its rows equal the one-row calls bit for bit), else row by row."""
+    rows = getattr(f, "rows", None)
+    if rows is not None:
+        return rows(X)
+    return np.array([as_vector(f(x)) for x in X]).reshape(len(X), m)
+
+
+def _matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for each row x of X.  Stacked matrix-vector products give each
+    row the bits of M @ x; X @ M.T does not."""
+    return np.matmul(M[None], np.asarray(X, dtype=float)[:, :, None])[:, :, 0]
 
 
 class LinearMapping(MappingModel):
@@ -193,47 +220,39 @@ class LinearMapping(MappingModel):
         rank = int(np.sum(s > s[0] * 1e-13)) if s.size and s[0] > 0 else 0
         self._null = vt[rank:].T
 
-    def images(self, x) -> list[np.ndarray]:
-        return [self.matrix @ as_vector(x)]
+    def image_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        W = _matvecs(self.matrix, X)
+        return np.arange(len(W)), W
 
-    def distance_to_image(self, x, y) -> float:
-        return norm(as_vector(y) - self.matrix @ as_vector(x), self.codomain)
-
-    def _particular_solution(self, y) -> np.ndarray | None:
-        y = as_vector(y)
-        u0 = self._pinv @ y
-        if _off_range(norm(self.matrix @ u0 - y, self.codomain), norm(y, self.codomain)):
-            return None
-        return u0
-
-    def _nearest_preimages(self, targets, near) -> tuple[np.ndarray, np.ndarray]:
-        # _particular_solution of every row.  Stacked matrix-vector products
-        # give each row the bits of M @ t; T @ M.T does not.  One row stays on
-        # the scalar path, which costs a third of this one
-        T = np.asarray(targets, dtype=float)
-        U = np.matmul(self._pinv[None], T[:, :, None])[:, :, 0]
-        R = np.matmul(self.matrix[None], U[:, :, None])[:, :, 0] - T
+    def preimage_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        # pinv @ y, unless it fails to solve A u = y: a residual norm above 1e-9 (1 + ||y||)
+        Y = np.asarray(Y, dtype=float)
+        U = _matvecs(self._pinv, Y)
         cod = self.codomain
-        return U, ~_off_range(norms(R, cod), norms(T, cod))
+        on = ~(norms(_matvecs(self.matrix, U) - Y, cod) > 1e-9 * (1.0 + norms(Y, cod)))
+        return np.flatnonzero(on), U[on]
 
-    def inverse_distance(self, x, y) -> float:
-        x = as_vector(x)
-        u0 = self._particular_solution(y)
-        if u0 is None:
-            return math.inf
-        if self._null.shape[1] == 0:
-            return norm(x - u0, self.domain)
-        w = x - u0
+    def inverse_distances(self, x, y, roots=None) -> np.ndarray:
+        if not self._null.shape[1]:
+            return super().inverse_distances(x, y)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        owner, U = self.preimage_rows(y)
+        out = np.full(len(x), math.inf)
         if self.domain.p == 2.0:
-            return float(np.linalg.norm(w - self._null @ (self._null.T @ w)))
-        # min ||v||_p over A v = A x - y, as two-sided inequalities
-        r = self.matrix @ x - as_vector(y)
-        return min_dual_norm_point(np.vstack([self.matrix, -self.matrix]),
-                                   np.concatenate([r, -r]), self.domain.p).value
+            W = x[owner] - U
+            W = W - _matvecs(self._null, _matvecs(self._null.T, W))
+            # the 1-D dot np.linalg.norm takes, row by row
+            out[owner] = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
+        else:
+            # min ||v||_p over A v = A x - y, as two-sided inequalities
+            R = _matvecs(self.matrix, x[owner]) - y[owner]
+            proj = PolyhedronProjector(np.vstack([self.matrix, -self.matrix]), self.domain.p)
+            out[owner] = proj.solve_batch(np.hstack([R, -R]).T)[2]
+        return out
 
-    def inverse_points(self, y) -> list[np.ndarray]:
-        u0 = self._particular_solution(y)
-        return [] if u0 is None else [u0]
+    # own entries of the one-row forms, which a tracer can wrap per class
+    distance_to_image = MappingModel.distance_to_image
+    inverse_distance = MappingModel.inverse_distance
 
 
 class SmoothMapping(MappingModel):
@@ -243,8 +262,6 @@ class SmoothMapping(MappingModel):
     user-supplied branches; branch inverses, when given, must return the full
     finite preimage set of their branch.
     """
-
-    exact_inverse = True
 
     def __init__(
         self,
@@ -261,34 +278,27 @@ class SmoothMapping(MappingModel):
             raise ValueError("one inverse slot per branch required")
         self.name = name
 
-    def images(self, x) -> list[np.ndarray]:
-        x = as_vector(x)
-        return [as_vector(b(x)) for b in self.branches]
+    def image_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        W = [as_vector(b(x)) for x in X for b in self.branches]
+        owner = np.repeat(np.arange(len(X)), len(self.branches))
+        return owner, np.array(W).reshape(len(W), self.codomain.dimension)
 
-    def _preimages(self, y) -> list[np.ndarray]:
-        y = as_vector(y)
-        out: list[np.ndarray] = []
-        scale = 1.0 + norm(y, self.codomain)
-        for b, inv in zip(self.branches, self.branch_inverses):
-            if inv is None:
-                raise InverseOracleUnavailableError(
-                    f"branch of {self.name!r} has no inverse; supply one or pre-sample a graph"
-                )
-            for u in inv(y):
-                u = as_vector(u)
-                if norm(as_vector(b(u)) - y, self.codomain) <= 1e-9 * scale:
-                    out.append(u)
-        return out
-
-    def inverse_distance(self, x, y) -> float:
-        x = as_vector(x)
-        cands = self._preimages(y)
-        if not cands:
-            return math.inf
-        return min(norm(x - u, self.domain) for u in cands)
-
-    def inverse_points(self, y) -> list[np.ndarray]:
-        return self._preimages(y)
+    def preimage_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        owner, U = [], []
+        for i, y in enumerate(np.asarray(Y, dtype=float)):
+            scale = 1.0 + norm(y, self.codomain)
+            for b, inv in zip(self.branches, self.branch_inverses):
+                if inv is None:
+                    raise InverseOracleUnavailableError(
+                        f"branch of {self.name!r} has no inverse; supply one or pre-sample a graph"
+                    )
+                for u in inv(y):
+                    u = as_vector(u)
+                    if norm(as_vector(b(u)) - y, self.codomain) <= 1e-9 * scale:
+                        owner.append(i)
+                        U.append(u)
+        return np.array(owner, dtype=int), np.array(U).reshape(len(U), self.domain.dimension)
 
 
 class FiniteGraphMapping(MappingModel):
@@ -299,20 +309,28 @@ class FiniteGraphMapping(MappingModel):
         self.graph = graph
         self.tol = 1e-9 * (1.0 + graph.radius)
 
-    def _slice(self, y) -> np.ndarray:
-        """Mask of the stored points whose value lies within the band around y."""
-        return norms(self.graph.ys - as_vector(y), self.codomain) <= self.tol
+    def _band(self, keys: np.ndarray, Q, spec: NormSpec, values: np.ndarray):
+        """(owner, values[j]) for every stored key j within the band around
+        every row of Q; the rows go in chunks whose (rows x stored points)
+        differences stay within 128 KiB."""
+        Q = np.asarray(Q, dtype=float)
+        n, d = keys.shape
+        step = max(1, 16384 // (n * d))
+        hits = [np.flatnonzero(norms((keys - Q[s:s + step, None]).reshape(-1, d), spec)
+                               <= self.tol) + s * n
+                for s in range(0, len(Q), step)]
+        owner, j = np.divmod(np.concatenate(hits) if hits else np.empty(0, dtype=int), n)
+        return owner, values[j]
 
-    def images(self, x) -> list[np.ndarray]:
-        g = self.graph
-        return list(g.ys[norms(g.xs - as_vector(x), self.domain) <= self.tol])
+    def image_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        return self._band(self.graph.xs, X, self.domain, self.graph.ys)
 
-    def inverse_distance(self, x, y) -> float:
-        xs = self.graph.xs[self._slice(y)]
-        return float(norms(xs - as_vector(x), self.domain).min()) if len(xs) else math.inf
+    def preimage_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        return self._band(self.graph.ys, Y, self.codomain, self.graph.xs)
 
-    def inverse_points(self, y) -> list[np.ndarray]:
-        return list(self.graph.xs[self._slice(y)])
+    # for tracers, as in LinearMapping
+    inverse_distance = MappingModel.inverse_distance
+    images = MappingModel.images
 
 
 class PerturbedMapping(MappingModel):
@@ -328,25 +346,21 @@ class PerturbedMapping(MappingModel):
         self.scale = float(scale)
         self.base_point = base_point
 
-    def images(self, x) -> list[np.ndarray]:
-        x = as_vector(x)
-        shift = self.scale * as_vector(self.f(x))
-        return [w + shift for w in self.base.images(x)]
+    def _shift(self, X: np.ndarray) -> np.ndarray:
+        return self.scale * f_rows(self.f, X, self.codomain.dimension)
 
-    def distance_to_image(self, x, y) -> float:
-        """distances_to_image of one pair."""
-        return float(self.distances_to_image(as_vector(x)[None], as_vector(y)[None])[0])
+    def image_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        owner, W = self.base.image_rows(X)
+        return owner, W + self._shift(X)[owner]
 
-    def _f_rows(self, X: np.ndarray) -> np.ndarray:
-        rows = getattr(self.f, "rows", None)
-        if rows is not None:
-            return rows(X)
-        return np.array([as_vector(self.f(x)) for x in X]).reshape(len(X), self.codomain.dimension)
+    def preimage_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        return self._roots(np.asarray(Y, dtype=float), None)
 
     def distances_to_image(self, x, y) -> np.ndarray:
+        # d(y - scale f(x), base(x)): the bits the roots are verified with
         x = np.asarray(x, dtype=float)
-        shifted = np.asarray(y, dtype=float) - self.scale * self._f_rows(x)
-        return self.base.distances_to_image(x, shifted)
+        return self.base.distances_to_image(x, np.asarray(y, dtype=float) - self._shift(x))
 
     def _iterate(self, y: np.ndarray, u: np.ndarray, damping: float,
                  max_iter: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +374,9 @@ class PerturbedMapping(MappingModel):
         for _ in range(max_iter):
             if not live.size:
                 break
-            target = y[live] - self.scale * self._f_rows(u[live])
-            nxt, found = self.base._nearest_preimages(target, u[live])
-            live = live[found]
-            step = damping * (nxt[found] - u[live])
+            rows, nxt = self.base._nearest_preimages(y[live] - self._shift(u[live]), u[live])
+            live = live[rows]
+            step = damping * (nxt - u[live])
             u[live] = u[live] + step
             live = live[~(norms(step, self.domain) <= 1e-15 * (1.0 + norms(u[live], self.domain)))]
         tol = 1e-10 * (1.0 + norms(y, self.codomain))
@@ -373,20 +386,18 @@ class PerturbedMapping(MappingModel):
         """Verified multistart roots of y[i] in F(u) + scale * f(u), for every row
         i at once.  The starts of row i are roots[i] (when given), then the base
         preimages of y[i].  Damping 1 runs first; a row with no verified root
-        retries every start with damping 0.5.  Returns the roots in start
-        order, less those within 1e-12 (1 + ||r||) of an earlier root of their
-        row, and the row index of each."""
-        starts, owner = [], []
-        for i, yi in enumerate(y):
-            row = [] if roots is None else [roots[i]]
-            try:
-                row.extend(self.base.inverse_points(yi))
-            except InverseOracleUnavailableError:
-                pass
-            starts.extend(row)
-            owner.extend([i] * len(row))
-        owner = np.array(owner, dtype=int)
-        u0 = np.array(starts, dtype=float).reshape(len(owner), self.domain.dimension)
+        retries every start with damping 0.5.  Returns the row index of each
+        root and the roots, in start order, less those within
+        1e-12 (1 + ||r||) of an earlier root of their row."""
+        try:
+            owner, u0 = self.base.preimage_rows(y)
+        except InverseOracleUnavailableError:
+            owner, u0 = np.empty(0, dtype=int), np.empty((0, self.domain.dimension))
+        if roots is not None:
+            # each row's own start goes first
+            owner = np.concatenate([np.arange(len(y)), owner])
+            order = np.argsort(owner, kind="stable")
+            owner, u0 = owner[order], np.vstack([roots, u0])[order]
         u, ok = self._iterate(y[owner], u0, 1.0, 48)
         retry = (np.bincount(owner[ok], minlength=len(y)) == 0)[owner]
         if retry.any():
@@ -402,7 +413,7 @@ class PerturbedMapping(MappingModel):
                 dup = ok[prev] & ~(norms(u[cur] - u[prev], self.domain) > cutoff[cur])
                 ok[cur[dup]] = False
                 cur = cur[~dup]
-        return u[ok], owner[ok]
+        return owner[ok], u[ok]
 
     def inverse_distances(self, x, y, roots=None) -> np.ndarray:
         """Distances to the preimages via verified multistart roots; roots[i],
@@ -417,17 +428,11 @@ class PerturbedMapping(MappingModel):
             roots = np.asarray(roots, dtype=float)
             hit = self.distances_to_image(roots, y) <= 1e-10 * (1.0 + norms(y, self.codomain))
             best[hit] = norms(roots[hit] - x[hit], self.domain)
-        found, owner = self._roots(y, roots)
+        owner, found = self._roots(y, roots)
         np.minimum.at(best, owner, norms(found - x[owner], self.domain))
         return best
 
-    def inverse_distance(self, x, y, root=None) -> float:
-        """inverse_distances of one pair."""
-        root = None if root is None else as_vector(root)[None]
-        return float(self.inverse_distances(as_vector(x)[None], as_vector(y)[None], root)[0])
-
-    def inverse_points(self, y) -> list[np.ndarray]:
-        return list(self._roots(as_vector(y)[None], None)[0])
+    inverse_distance = MappingModel.inverse_distance  # for tracers, as in LinearMapping
 
 
 def add_perturbation(F: MappingModel, f: Callable[[np.ndarray], np.ndarray], scale: float,
@@ -447,11 +452,12 @@ def sample_graph(F: MappingModel, center: GraphPoint, radius: float, budget: int
 
     Domain points are drawn on shells of radii radius * 2^-j (antipodal pairs
     plus the signed coordinate directions), each paired with every image value
-    that keeps the pair within the pair-norm ball.
+    that keeps the pair within the pair-norm ball.  Random points of the ball
+    top the sample up while it holds at most `budget` points.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if F.distance_to_image(center.x, center.y) > ON_GRAPH_TOL:
+    if F.distances_to_image(center.x[None], center.y[None])[0] > ON_GRAPH_TOL:
         raise GraphMembershipError("center is not on the graph")
     spec = F.product_spec
     if isinstance(F, FiniteGraphMapping):
@@ -463,77 +469,58 @@ def sample_graph(F: MappingModel, center: GraphPoint, radius: float, budget: int
     n = F.domain.dimension
     n_shells = 7
     per_shell = max(1, budget // (2 * n_shells))
-    offsets: list[np.ndarray] = []
+    shells = []
     for j in range(n_shells):
         r = radius * (2.0 ** -j)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = r
-            offsets.append(e.copy())
-            offsets.append(-e)
         # random radii inside the shell band keep one-dimensional domains
         # from collapsing onto the dyadic radii alone
         vs = rng.standard_normal((per_shell, n))
         radii = r * (0.5 + 0.5 * rng.random(per_shell))
-        for v, nv, rv in zip(vs, norms(vs, F.domain), radii):
-            if nv < 1e-12:
-                continue
-            step = v / nv * rv
-            offsets.append(step)
-            offsets.append(-step)
+        nv = norms(vs, F.domain)
+        ok = ~(nv < 1e-12)
+        steps = np.vstack([r * np.eye(n), vs[ok] / nv[ok, None] * radii[ok, None]])
+        shells.append(np.stack((steps, -steps), axis=1).reshape(-1, n))
 
     points: list[GraphPoint] = [center]
     seen = {(center.x.tobytes(), center.y.tobytes())}
-
-    def keep(x: np.ndarray) -> None:
-        for w in F.images(x):
-            if pair_norm_primal(x - center.x, w - center.y, spec) > radius:
-                continue
-            key = (x.tobytes(), w.tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
-            points.append(GraphPoint(x, w))
-
-    for off in offsets:
-        keep(center.x + off)
-    # top up to the requested budget (the pair-ball filter can drop whole
-    # outer bands when the mapping stretches the range side)
-    for _ in range(4 * budget):
-        if len(points) > budget:
+    X, stop, draws = center.x + np.vstack(shells), math.inf, 4 * budget
+    while True:
+        # the unseen images of the rows of X inside the pair ball, row after
+        # row until the sample holds more than `stop` points
+        owner, W = F.image_rows(X)
+        outside = norms(X[owner] - center.x, F.domain) + norms(W - center.y, F.codomain) > radius
+        last = -1
+        for k in np.flatnonzero(~outside):
+            if owner[k] != last and len(points) > stop:
+                break
+            last = owner[k]
+            key = (X[last].tobytes(), W[k].tobytes())
+            if key not in seen:
+                seen.add(key)
+                points.append(GraphPoint(X[last], W[k]))
+        # top up to the requested budget (the pair-ball filter can drop whole
+        # outer bands when the mapping stretches the range side).  The draws
+        # do not depend on which points are kept, so each round draws the
+        # shortfall before any of its images is taken
+        stop = budget
+        if len(points) > budget or not draws:
             break
-        v = rng.standard_normal(n)
-        nv = norm(v, F.domain)
-        if nv < 1e-12:
-            continue
-        rv = radius * 2.0 ** (-float(rng.uniform(0.0, n_shells)))
-        keep(center.x + v / nv * rv)
+        rows = []
+        for _ in range(min(draws, budget + 1 - len(points))):
+            draws -= 1
+            v = rng.standard_normal(n)
+            nv = norm(v, F.domain)
+            if nv < 1e-12:
+                continue
+            rv = radius * 2.0 ** (-float(rng.uniform(0.0, n_shells)))
+            rows.append(center.x + v / nv * rv)
+        X = np.array(rows).reshape(len(rows), n)
     return SampledGraph(center, tuple(points), radius, spec)
 
 
 # ---------------------------------------------------------------------------
 # JSON loading of mapping specifications
 # ---------------------------------------------------------------------------
-
-def _builtin_identity(domain: NormSpec, codomain: NormSpec) -> SmoothMapping:
-    return SmoothMapping(
-        branches=(lambda x: x,),
-        domain=domain,
-        codomain=codomain,
-        branch_inverses=(lambda y: [y],),
-        name="identity",
-    )
-
-
-def _builtin_abs_branches(domain: NormSpec, codomain: NormSpec) -> SmoothMapping:
-    return SmoothMapping(
-        branches=(lambda x: x, lambda x: -x),
-        domain=domain,
-        codomain=codomain,
-        branch_inverses=(lambda y: [y], lambda y: [-y]),
-        name="abs-branches",
-    )
-
 
 def _parabola_inverse(y: np.ndarray) -> list[np.ndarray]:
     v = float(y[0])
@@ -546,18 +533,16 @@ def _parabola_inverse(y: np.ndarray) -> list[np.ndarray]:
 def _builtin_parabola(domain: NormSpec, codomain: NormSpec) -> SmoothMapping:
     if domain.dimension != 1 or codomain.dimension != 1:
         raise ValueError("parabola builtin is one-dimensional")
-    return SmoothMapping(
-        branches=(lambda x: x * x,),
-        domain=domain,
-        codomain=codomain,
-        branch_inverses=(_parabola_inverse,),
-        name="parabola",
-    )
+    return SmoothMapping((lambda x: x * x,), domain, codomain, (_parabola_inverse,), "parabola")
 
 
+#: smooth builtins by name, each built from its (domain, codomain)
 BUILTIN_SMOOTH = {
-    "identity": _builtin_identity,
-    "abs-branches": _builtin_abs_branches,
+    "identity": lambda domain, codomain: SmoothMapping(
+        (lambda x: x,), domain, codomain, (lambda y: [y],), "identity"),
+    "abs-branches": lambda domain, codomain: SmoothMapping(
+        (lambda x: x, lambda x: -x), domain, codomain, (lambda y: [y], lambda y: [-y]),
+        "abs-branches"),
     "parabola": _builtin_parabola,
 }
 

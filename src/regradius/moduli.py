@@ -16,7 +16,15 @@ import numpy as np
 
 from . import oracles
 from ._minnorm import PolyhedronProjector, solve_systems
-from .mappings import FiniteGraphMapping, GraphPoint, MappingModel, SampledGraph, sample_graph
+from .mappings import (
+    FiniteGraphMapping,
+    GraphPoint,
+    MappingModel,
+    SampledGraph,
+    f_rows,
+    nearest_per_owner,
+    sample_graph,
+)
 from .oracles import MEMBERSHIP_SLACK
 from .spaces import (
     NormSpec,
@@ -646,27 +654,6 @@ class _RatioPool:
         return picked
 
 
-def _branch_following_jacobian(F: MappingModel, x: np.ndarray, h: float) -> np.ndarray | None:
-    """Finite-difference Jacobian following the image branch nearest to F(x)."""
-    refs = F.images(x)
-    if not refs:
-        return None
-    ref = refs[0]
-    n = x.size
-    J = np.zeros((ref.size, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        cols = []
-        for z in (x + e, x - e):
-            ws = F.images(z)
-            if not ws:
-                return None
-            cols.append(min(ws, key=lambda w: float(np.linalg.norm(w - ref))))
-        J[:, i] = (cols[0] - cols[1]) / (2.0 * h)
-    return J
-
-
 def _ring_grid(domain: NormSpec, delta: float, rng) -> np.ndarray:
     """Deterministic ring sweep of the ball (one offset per row); ring ratio
     and angular density are chosen so any substructure region of radius
@@ -701,17 +688,12 @@ def _straddles(F: MappingModel, base: GraphPoint, delta: float, mid: np.ndarray,
     pairs in the product of the two delta-balls.  Returns (x1, y2, x2, mid),
     the arguments of `_RatioPool.add`."""
     x1, x2 = mid - off, mid + off
-    owner, images = [], []
-    for i in np.flatnonzero(~(norms(x1 - base.x, F.domain) > delta)):
-        ws = F.images(x2[i])
-        owner.extend([i] * len(ws))
-        images.extend(ws)
-    owner = np.array(owner, dtype=int)
-    images = np.array(images).reshape(len(owner), F.codomain.dimension)
+    inside = np.flatnonzero(~(norms(x1 - base.x, F.domain) > delta))
+    owner, images = F.image_rows(x2[inside])
+    owner = inside[owner]
     dist = norms(images - base.y, F.codomain)
-    # the nearest image of each row (the first one on ties)
-    order = np.lexsort((dist, owner))
-    first = order[np.unique(owner[order], return_index=True)[1]]
+    # the image of each row nearest to the base value
+    first = nearest_per_owner(owner, dist)
     first = first[dist[first] <= delta]
     rows = owner[first]
     return x1[rows], images[first], x2[rows], mid[rows]
@@ -769,10 +751,24 @@ def _linearization_sweep(F: MappingModel, base: GraphPoint, delta: float, rng):
     offsets = _ring_grid(F.domain, delta, rng)
     steps = np.maximum(norms(offsets, F.domain), delta / 64.0) * 0.02
     mids = base.x + offsets
-    jacobians = [_branch_following_jacobian(F, x, h) for x, h in zip(mids, steps.tolist())]
-    found = np.array([i for i, J in enumerate(jacobians) if J is not None], dtype=int)
-    stack = np.array([jacobians[i] for i in found]).reshape(-1, F.codomain.dimension, mids.shape[1])
-    _, sigmas, vt = np.linalg.svd(stack, full_matrices=False)
+    # central differences that follow the image branch nearest (in the
+    # Euclidean norm, as np.linalg.norm's 1-D dot sums it) to the first image
+    # of their mid: every mid and its points mid +- h e_i in one image_rows call
+    k, n = mids.shape
+    per = 2 * n + 1
+    E = steps[:, None, None] * np.eye(n)
+    points = np.concatenate([mids[:, None], mids[:, None] + E, mids[:, None] - E], axis=1)
+    owner, W = F.image_rows(points.reshape(-1, n))
+    # offsets from the first image of each value's mid (a mid without one drops out below)
+    D = W - W[np.minimum(np.searchsorted(owner, owner - owner % per), len(W) - 1)]
+    pick = nearest_per_owner(owner, np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]))
+    near = np.full((k * per, F.codomain.dimension), np.nan)
+    near[owner[pick]] = W[pick]
+    near = near.reshape(k, per, -1)
+    found = np.flatnonzero(~np.isnan(near).any(axis=(1, 2)))  # an image at every point
+    # J[:, i] = (F(mid + h e_i) - F(mid - h e_i)) / 2h
+    J = (near[found, 1:n + 1] - near[found, n + 1:]) / (2.0 * steps[found, None, None])
+    _, sigmas, vt = np.linalg.svd(np.swapaxes(J, 1, 2), full_matrices=False)
     v_min = vt[:, -1, :]
     # LAPACK leaves the sign of a singular vector open: fix it by the largest entry
     v_min *= np.sign(v_min[np.arange(len(v_min)), np.abs(v_min).argmax(axis=1)])[:, None]
@@ -893,8 +889,8 @@ class _QuotientPool:
         sep = norms(a - b, self.domain)
         keep = (gate <= delta) & ~(sep <= 1e-15)
         a, b, sep = a[keep], b[keep], sep[keep]
-        diffs = [as_vector(self.f(u)) - as_vector(self.f(v)) for u, v in zip(a, b)]
-        diffs = np.array(diffs).reshape(len(a), self.codomain.dimension)
+        m = self.codomain.dimension
+        diffs = f_rows(self.f, a, m) - f_rows(self.f, b, m)
         self.a, self.b = np.vstack((self.a, a)), np.vstack((self.b, b))
         self.quot = np.append(self.quot, norms(diffs, self.codomain) / sep)
         self.sep = np.append(self.sep, sep)

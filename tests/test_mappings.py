@@ -262,16 +262,123 @@ def test_linear_nearest_preimages_match_pinv_row_by_row():
             pinv = np.linalg.pinv(A)
             T = np.vstack([rng.standard_normal((100, m)) * 10.0 ** rng.uniform(-9, 2, (100, 1)),
                            rng.standard_normal((100, n)) @ A.T])
-            U, found = F._nearest_preimages(T, rng.standard_normal((len(T), n)))
-            for t, u, ok in zip(T, U, found):
+            rows, U = F._nearest_preimages(T, rng.standard_normal((len(T), n)))
+            found = np.isin(np.arange(len(T)), rows)
+            assert np.array_equal(rows, np.flatnonzero(found))  # ascending, one each
+            nearest = dict(zip(rows.tolist(), U))
+            for i, (t, ok) in enumerate(zip(T, found)):
+                # the reference: pinv @ t, off the range when its residual
+                # exceeds 1e-9 (1 + ||t||)
                 u0 = pinv @ t
                 residual = rr.norm(A @ u0 - t, F.codomain)
-                assert ok == (not residual > 1e-9 * (1.0 + rr.norm(t, F.codomain)))
+                off_range = residual > 1e-9 * (1.0 + rr.norm(t, F.codomain))
+                assert ok == (not off_range)
                 if ok:
-                    assert u.tobytes() == u0.tobytes()
-                    assert u.tobytes() == F._particular_solution(t).tobytes()
+                    assert nearest[i].tobytes() == u0.tobytes()
+                    assert [v.tobytes() for v in F.inverse_points(t)] == [u0.tobytes()]
                 else:
-                    assert F._particular_solution(t) is None
+                    assert F.inverse_points(t) == []
             assert found[100:].all()
             missed += int((~found).sum())
     assert missed >= 300
+
+
+def _images_by_definition(F, x):
+    if isinstance(F, rr.LinearMapping):
+        return [F.matrix @ x]
+    if isinstance(F, rr.SmoothMapping):
+        return [np.atleast_1d(b(x)) for b in F.branches]
+    if isinstance(F, rr.FiniteGraphMapping):
+        return [p.y for p in F.graph.points if rr.norm(p.x - x, F.domain) <= F.tol]
+    return [w + F.scale * F.f(x) for w in _images_by_definition(F.base, x)]
+
+
+def _oracle_zoo():
+    """(mapping, x rows, y rows, root rows or None) for every mapping kind."""
+    rng = np.random.default_rng(15)
+    zoo = []
+    for p in (1.0, 2.0, math.inf):
+        for shape in ((3, 3), (2, 3), (3, 2)):  # square, wide (with a kernel), tall
+            A = rng.standard_normal(shape)
+            zoo.append(rr.LinearMapping(A, rr.NormSpec(shape[1], p), rr.NormSpec(shape[0], p)))
+    zoo += [rr.load_mapping({"kind": "smooth-builtin", "builtin": name}, rr.NormSpec(1),
+                            rr.NormSpec(1)) for name in rr.mappings.BUILTIN_SMOOTH]
+    B = rr.load_mapping({"kind": "smooth-builtin", "builtin": "abs-branches"},
+                        rr.NormSpec(2), rr.NormSpec(2, 1))
+    zoo.append(rr.FiniteGraphMapping(rr.sample_graph(B, origin(2), 0.5, 60, seed=4)))
+    t = 0.2 / 0.375
+    bump = rr.BumpPerturbation((rr.BumpSpec([1.0, 0.0], 0.2, [1.0, 0.0], [0.0, 1.0], k=1),),
+                               [1.0 - t, 0.0], (t,), rr.NormSpec(2), rr.NormSpec(2))
+    zoo.append(rr.add_perturbation(diag_map(2.0, 0.5), bump, 1.0,
+                                   rr.GraphPoint([1.0 - t, 0.0], [2.0 * (1.0 - t), 0.0])))
+    for f in ({"kind": "linear", "matrix": [[0.3, 0.1], [-0.2, 0.4]]},
+              {"kind": "sine", "amplitude": 0.3, "frequency": 2.0}):
+        zoo.append(rr.load_mapping({"kind": "perturbed", "f": f, "scale": 1.0,
+                                    "base": {"kind": "linear", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
+                                    "base_point": {"x": [0.0, 0.0], "y": [0.0, 0.0]}},
+                                   rr.NormSpec(2), rr.NormSpec(2)))
+    out = []
+    for F in zoo:
+        # a stored graph scans its points in chunks of rows: give it several
+        rows = 300 if isinstance(F, rr.FiniteGraphMapping) else 12
+        X = 0.4 * rng.standard_normal((rows, F.domain.dimension))
+        Y = 0.4 * rng.standard_normal((rows, F.codomain.dimension))
+        roots = None
+        if isinstance(F, rr.FiniteGraphMapping):
+            # stored x and y in the first half, off-sample ones after
+            picks = rng.integers(0, len(F.graph.points), (2, rows // 2))
+            X[:rows // 2], Y[:rows // 2] = F.graph.xs[picks[0]], F.graph.ys[picks[1]]
+        if isinstance(F, rr.PerturbedMapping):
+            X[::2] = F.base_point.x + [t, 0.0] + 0.25 * X[::2]  # mostly in the bump's support
+            roots = X + 0.05
+        out.append((F, X, Y, roots))
+    return out
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_batched_oracles_match_one_row_calls():
+    no_image = no_preimage = 0
+    for F, X, Y, roots in _oracle_zoo():
+        owner, W = F.image_rows(X)
+        one_row = [F.images(x) for x in X]
+        assert owner.tolist() == [i for i, ws in enumerate(one_row) for _ in ws]
+        assert [w.tobytes() for w in W] == [w.tobytes() for ws in one_row for w in ws]
+        assert [w.tobytes() for w in W] == [np.asarray(w, dtype=float).tobytes()
+                                            for x in X for w in _images_by_definition(F, x)]
+        d = F.distances_to_image(X, Y)
+        assert _bits(d) == _bits(F.distance_to_image(x, y) for x, y in zip(X, Y))
+        inv = F.inverse_distances(X, Y)
+        assert _bits(inv) == _bits(F.inverse_distance(x, y) for x, y in zip(X, Y))
+        if roots is not None:
+            assert _bits(F.inverse_distances(X, Y, roots)) == _bits(
+                F.inverse_distance(x, y, r) for x, y, r in zip(X, Y, roots))
+        no_image += int(np.isinf(d).sum())
+        no_preimage += int(np.isinf(inv).sum())
+    # rows without an image (off-sample graph x) and rows with an empty
+    # preimage (tall maps, the parabola below 0, off-sample graph y)
+    assert no_image >= 100 and no_preimage >= 100
+
+
+def test_perfbench_tracer_installs_and_uninstalls(monkeypatch):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # dataclasses look it up
+    spec.loader.exec_module(tracer_module)
+    before = {cls: dict(vars(cls)) for cls in (rr.LinearMapping, rr.FiniteGraphMapping,
+                                                rr.PerturbedMapping)}
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        assert diag_map(2.0, 0.5).inverse_distance([0.0, 0.0], [1.0, 1.0]) == math.sqrt(4.25)
+        assert tracer.stats["mappings.linear.inverse_distance"].calls == 1
+    finally:
+        tracer.uninstall()
+    assert {cls: dict(vars(cls)) for cls in before} == before

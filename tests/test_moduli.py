@@ -181,6 +181,22 @@ def test_rg_estimate_does_not_call_the_svd_oracle(monkeypatch):
     assert abs(est.value - exact) <= 0.10 * exact  # criterion 1's tolerance
 
 
+def test_rg_estimate_makes_no_one_row_oracle_calls(monkeypatch):
+    """rg evaluates its pairs, straddles and ring-sweep points through the
+    batched oracles: the one-row forms raise, as forbid_oracle makes oracles raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("one-row mapping oracle called by rg_estimate")
+
+    for cls in (rr.LinearMapping, rr.PerturbedMapping):
+        for name in ("images", "inverse_points", "distance_to_image", "inverse_distance"):
+            monkeypatch.setattr(cls, name, forbidden)
+    F = diag_map(2.0, 0.5)
+    G = rr.add_perturbation(F, lambda x: 0.1 * np.sin(x), 1.0, origin(2))
+    for M in (F, G):
+        est = rr.rg_estimate(M, origin(2), fast_schedule(4))
+        assert 0.0 < est.value < math.inf
+
+
 def test_rg_per_scale_monotone_by_nesting():
     est = rr.rg_estimate(diag_map(2.0, 0.5), origin(2), fast_schedule(6))
     vals = [v for _, v in est.per_scale]
