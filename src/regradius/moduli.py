@@ -726,23 +726,6 @@ def _uniform_pairs(F: MappingModel, ys: np.ndarray, base: GraphPoint, delta: flo
     return x, ys[[int(rng.integers(0, len(ys))) for _ in range(count)]]
 
 
-def _probes(xs: np.ndarray, ys: np.ndarray, base: GraphPoint, delta: float, count: int,
-            rng, codomain: NormSpec):
-    """Short steps off sampled images (off the base value when no graph
-    point lies in the ball), rooted at the sampled x."""
-    src_x, src_y = (xs, ys) if len(xs) else (base.x[None], base.y[None])
-    picks, dirs, steps = [], [], []
-    for _ in range(count):
-        picks.append(int(rng.integers(0, len(xs))) if len(xs) else 0)
-        dirs.append(rng.standard_normal(codomain.dimension))
-        steps.append(delta * float(rng.choice([0.25, 0.04, 0.008])))
-    picks = np.array(picks, dtype=int)
-    ok, offs = _along(np.array(dirs), np.array(steps), codomain)
-    x, y = src_x[picks[ok]], src_y[picks[ok]] + offs
-    inside = ~(norms(y - base.y, codomain) > delta)
-    return x[inside], y[inside], x[inside]
-
-
 def _linearization_sweep(F: MappingModel, base: GraphPoint, delta: float, rng):
     """Where the finite-difference Jacobian on a ring grid has a depressed
     smallest singular value, straddle pairs along its minimal-gain direction
@@ -779,11 +762,11 @@ def _linearization_sweep(F: MappingModel, base: GraphPoint, delta: float, rng):
 
 
 def _refinement(F: MappingModel, base: GraphPoint, delta: float, pool: _RatioPool,
-                top: list[int], round_: int, count: int, discrete: bool, rng):
-    """Straddled graph quotients through the anchors of the best pairs, with
-    directions drifting around each pair's own axis, then local jitter of
-    both ends of the best pair.  Returns the two batches in that order."""
-    domain, codomain = F.domain, F.codomain
+                top: list[int], round_: int, count: int, rng):
+    """One batch of straddled graph quotients through the anchors of the best
+    pairs: a separation ladder along the coordinate axes and each pair's own
+    axis, and `count` straddles per pair with drifting mid and direction."""
+    domain = F.domain
     shrink = 0.5 ** round_
     rad = delta * 0.25 * shrink
     axes = pool.ax[top] - pool.x[top]
@@ -804,15 +787,7 @@ def _refinement(F: MappingModel, base: GraphPoint, delta: float, pool: _RatioPoo
             rows.append((mid, d, sep0 * float(rng.uniform(0.15, 1.0))))
     mids, dirs, seps = (np.array(column) for column in zip(*rows))
     ok, offs = _along(dirs, seps, domain)
-    straddles = _straddles(F, base, delta, mids[ok], offs)
-
-    best_x, best_y = pool.x[top[0]], pool.y[top[0]]
-    jx = best_x + ball_sample(domain, rad, count, rng)
-    jy = np.tile(best_y, (count, 1)) if discrete \
-        else best_y + ball_sample(codomain, rad, count, rng)
-    inside = (norms(jx - base.x, domain) <= delta) & (norms(jy - base.y, codomain) <= delta)
-    jitter = jx[inside], jy[inside], np.broadcast_to(best_x, jx[inside].shape)
-    return straddles, jitter
+    return _straddles(F, base, delta, mids[ok], offs)
 
 
 def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
@@ -820,14 +795,16 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
     """Infimum of d(y, F(x)) / d(x, F^{-1}(y)) over sampled pairs in shrinking
     balls, with adaptive refinement around the running argmin.
 
-    Each proposal family returns its pairs as arrays, which one pool
-    evaluates: graph-anchored pairs (x from one graph point, y the image of
-    another), uniform ball draws, short probes off sampled images, straddles
-    along the minimal-gain directions of a linearization sweep, and the
-    refinement straddles and jitter.  The pool is cumulative, so per-scale
-    infima are monotone by nesting.  The +inf sentinel is reported when no
-    sampled pair has a positive inverse distance.  The estimate counts the
-    pairs the pool dropped, per reason of DROP_REASONS.
+    Four proposal families return their pairs as arrays, which one pool
+    evaluates.  Graph-anchored pairs (x from one graph point, y the image of
+    another) find the minimum of a stored graph.  Uniform ball draws are the
+    surjectivity check: a y off the range of an exact-inverse map gives
+    ratio 0.  Straddles along the minimal-gain directions of a linearization
+    sweep, and the refinement straddles through the best pairs' anchors, set
+    the minimum everywhere else.  The pool is cumulative, so per-scale infima
+    are monotone by nesting.  The +inf sentinel is reported when no sampled
+    pair has a positive inverse distance.  The estimate counts the pairs the
+    pool dropped, per reason of DROP_REASONS.
     """
     pool = _RatioPool(F, base)
     domain, codomain = F.domain, F.codomain
@@ -847,18 +824,15 @@ def rg_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule,
 
         pool.add(*_graph_anchored(xs, ys, base, rng, cap=budget // 2))
         pool.add(*_uniform_pairs(F, ys, base, delta, max(8, budget // 3), discrete, rng))
-        if not discrete:
-            pool.add(*_probes(xs, ys, base, delta, max(4, budget // 5), rng, codomain))
-            if domain.dimension <= 4 and codomain.dimension <= 4:
-                pool.add(*_linearization_sweep(F, base, delta, rng))
+        if not discrete and domain.dimension <= 4 and codomain.dimension <= 4:
+            pool.add(*_linearization_sweep(F, base, delta, rng))
 
         for round_ in range(schedule.refine_rounds):
             top = pool.top_anchors(delta)
             if not top:
                 break
-            for batch in _refinement(F, base, delta, pool, top, round_,
-                                     schedule.refine_samples // 3, discrete, rng):
-                pool.add(*batch)
+            pool.add(*_refinement(F, base, delta, pool, top, round_,
+                                  schedule.refine_samples // 3, rng))
 
     per_scale = [(delta, pool.minimum(delta)) for delta in schedule.radii]
     values = [v for _, v in per_scale]

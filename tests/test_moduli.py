@@ -64,6 +64,15 @@ def test_rg_counts_the_pairs_it_drops():
     assert exact.dropped == (0, 0, 0)
 
 
+def test_rg_reads_zero_on_non_surjective_linear_maps():
+    """Uniform ball draws are rg's surjectivity check: a y off the range of
+    a linear map has an empty preimage, so its pair has ratio 0."""
+    for A in ([[1.0], [0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.2], [0.0, 0.7], [0.0, 0.0]]):
+        m, n = np.shape(A)
+        est = rr.rg_estimate(rr.LinearMapping(A), origin(n, m), fast_schedule(7))
+        assert est.value == 0.0, A
+
+
 def _identity_sample(n=1, radius=0.5, budget=80, seed=0):
     F = identity_map(n)
     return F, rr.sample_graph(F, origin(n), radius, budget, seed=seed)

@@ -383,10 +383,22 @@ def test_perturbed_map_with_no_base_preimage_finds_no_root(diag_bumps):
 
 
 def test_rg_of_a_destabilized_map_with_empty_refinement_batches(diag_setup, diag_bumps):
-    # refine_samples 2 leaves the refinement jitter with no pairs to propose
+    # refine_samples 2 gives 2 // 3 = 0 drifting straddles per anchor, so
+    # only the refinement's separation ladder proposes pairs
     F, base, sched, _ = diag_setup
     G = rr.add_perturbation(F, diag_bumps, 1.0, base)
     est = rr.rg_estimate(G, base, dataclasses.replace(sched, refine_samples=2, refine_rounds=2))
+    assert 0.0 <= est.value < math.inf
+
+
+def test_destabilized_rg_drops_no_pair_for_a_missing_root():
+    # the perfbench destabilize inputs: every pair rg(F + P) proposes has a root
+    F, base = diag_map(2.0, 0.5), origin(2)
+    sched = rr.ScaleSchedule.geometric(6, samples_per_scale=80, eval_points=4, directions=16,
+                                       refine_rounds=5, refine_samples=24)
+    P = rr.build_perturbation(F, base, sched, K=5, rg_plus=rr.rg_plus_estimate(F, base, sched))
+    est = rr.rg_estimate(rr.add_perturbation(F, P, 1.0, base), base, sched)
+    assert est.dropped == (0, 0, 0)
     assert 0.0 <= est.value < math.inf
 
 
