@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import combinations, compress, product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._minnorm import PolyhedronProjector
 from .spaces import (
     DimensionMismatchError,
     NormSpec,
@@ -215,9 +215,10 @@ class LinearMapping(MappingModel):
             raise DimensionMismatchError("matrix shape does not match the norm specs")
         self.matrix = _readonly(A)
         self._pinv = np.linalg.pinv(A)
-        # orthonormal basis of ker A, empty for injective A
-        _, s, vt = np.linalg.svd(A)
+        # orthonormal bases of range A and of ker A, the latter empty for injective A
+        u, s, vt = np.linalg.svd(A)
         rank = int(np.sum(s > s[0] * 1e-13)) if s.size and s[0] > 0 else 0
+        self._range = u[:, :rank]
         self._null = vt[rank:].T
 
     def image_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -233,6 +234,9 @@ class LinearMapping(MappingModel):
         return np.flatnonzero(on), U[on]
 
     def inverse_distances(self, x, y, roots=None) -> np.ndarray:
+        """d(x[i], A^-1 y[i]) of each row pair: +inf where preimage_rows finds
+        y[i] off the range, else min ||v||_p over A v = A x[i] - y[i], exact
+        (for p in {1, inf}, see _dual_vertices).  roots is unused."""
         if not self._null.shape[1]:
             return super().inverse_distances(x, y)
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -244,11 +248,71 @@ class LinearMapping(MappingModel):
             # the 1-D dot np.linalg.norm takes, row by row
             out[owner] = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
         else:
-            # min ||v||_p over A v = A x - y, as two-sided inequalities
-            R = _matvecs(self.matrix, x[owner]) - y[owner]
-            proj = PolyhedronProjector(np.vstack([self.matrix, -self.matrix]), self.domain.p)
-            out[owner] = proj.solve_batch(np.hstack([R, -R]).T)[2]
+            out[owner] = self._gauge(x[owner], y[owner])
         return out
+
+    @cached_property
+    def _dual_vertices(self) -> tuple[np.ndarray, ...]:
+        """(M, S, J, P): the vertices mu = M[f] of D = {mu : ||B^T mu||_p* <= 1},
+        B = Q^T A for the basis Q of range A, so that min{||v||_p : A v = r} =
+        max_f <M[f], Q^T r> (LP duality; Rockafellar, *Convex Analysis*, 1970,
+        sec. 31).  A vertex is listed once per set of columns J[f] defining it,
+        with its primal point: v = value * S[f] off J[f], v[J[f]] = P[f] (Q^T r
+        - B v).  p = 1: mu solves <sign_j b_j, mu> = 1 on k = rank A columns,
+        from C(n, k) 2^k candidates.  p = inf: mu = +-nu / ||B^T nu||_1, nu
+        orthogonal to k - 1 columns, 2 C(n, k - 1) candidates, times both signs
+        of every further column in nu's hyperplane."""
+        B = self._range.T @ self.matrix
+        k, n = B.shape
+        if k == 0:  # A = 0: D = {0}
+            return np.zeros((1, 0)), np.zeros((1, n)), np.zeros((1, 0), int), np.zeros((1, 0, 0))
+        size = k if self.domain.p == 1.0 else k - 1
+        J = np.array(list(combinations(range(n), size)), dtype=int).reshape(math.comb(n, size), size)
+        u, sv, vt = np.linalg.svd(B[:, J].transpose(1, 0, 2))
+        ok = sv.min(axis=1, initial=math.inf) > 1e-13 * sv.max(axis=1, initial=0.0)
+        J, u, sv, vt = J[ok], u[ok], sv[ok], vt[ok]
+        P = np.matmul(np.swapaxes(vt, 1, 2) / sv[:, None, :], np.swapaxes(u[:, :, :size], 1, 2))
+        if self.domain.p == 1.0:
+            signs = np.array(list(product((1.0, -1.0), repeat=k)))
+            M = np.matmul(signs[None], P).reshape(-1, k)
+            top = np.abs(M @ B).max(axis=1)
+            keep = np.flatnonzero(top <= 1.0 + 1e-9)
+            f = keep // len(signs)
+            return M[keep] / top[keep, None], np.zeros((len(keep), n)), J[f], P[f]
+        nu = u[:, :, -1]
+        g = nu @ B
+        free = np.abs(g) <= 1e-9 * np.linalg.norm(B, axis=0)
+        np.put_along_axis(free, J, False, axis=1)
+        S = np.sign(g)
+        np.put_along_axis(S, J, 0.0, axis=1)
+        # the free columns' sign patterns, in binary order
+        z = 2 ** free.sum(axis=1)
+        f = np.repeat(np.arange(len(J)), z)
+        bit = ((np.arange(len(f)) - np.repeat(np.cumsum(z) - z, z))[:, None]
+               >> (np.cumsum(free, axis=1)[f] - 1)) & 1
+        S = np.where(free[f], 1.0 - 2.0 * bit, S[f])
+        M = (nu / np.abs(g).sum(axis=1, keepdims=True))[f]
+        return np.vstack([M, -M]), np.vstack([S, -S]), np.tile(J[f], (2, 1)), np.tile(P[f], (2, 1, 1))
+
+    def _gauge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """max_f <M[f], Q^T (A x - y)> per row, certified by the primal v of a
+        vertex within 1e-9 of it: ||A v - (A x - y)|| <= 1e-9 (1 + ||y||), as
+        in preimage_rows, and ||v||_p <= value (1 + 1e-9)."""
+        M, S, J, P = self._dual_vertices
+        R = _matvecs(self.matrix, x) - y
+        V = _matvecs(M, _matvecs(self._range.T, R))
+        value = V.max(axis=1)
+        i, f = np.nonzero(V >= (value - 1e-9 * np.abs(value))[:, None])
+        v = value[i, None] * S[f]
+        rest = (R[i] - v @ self.matrix.T) @ self._range
+        v[np.arange(len(f))[:, None], J[f]] = np.matmul(P[f], rest[:, :, None])[:, :, 0]
+        ok = (norms(v, self.domain) <= value[i] * (1.0 + 1e-9)) & (norms(
+            v @ self.matrix.T - R[i], self.codomain) <= 1e-9 * (1.0 + norms(y[i], self.codomain)))
+        missing = int((np.bincount(i[ok], minlength=len(x)) == 0).sum())
+        if missing:
+            raise InverseOracleUnavailableError(f"no certified l{self.domain.p:g} inverse distance "
+                                                f"for {missing} rows of {self.matrix.tolist()}")
+        return value
 
     # own entries of the one-row forms, which a tracer can wrap per class
     distance_to_image = MappingModel.distance_to_image

@@ -283,6 +283,33 @@ def test_linear_nearest_preimages_match_pinv_row_by_row():
     assert missed >= 300
 
 
+def test_polyhedral_inverse_distance_gauge_matches_simplex():
+    from regradius._minnorm import PolyhedronProjector
+
+    rng = np.random.default_rng(20)
+    matrices = [rng.standard_normal(shape) for shape in ((1, 2), (2, 3), (2, 4), (3, 4))]
+    A = rng.standard_normal((2, 5))
+    matrices.append(np.vstack([A, A[0] + A[1]]))  # rank 2
+    matrices.append(rng.standard_normal((2, 2))[:, [0, 1, 1]])  # a duplicated column
+    matrices.append(np.zeros((1, 2)))  # rank 0
+    for A in matrices:
+        m, n = A.shape
+        for p in (1.0, math.inf):
+            F = rr.LinearMapping(A, rr.NormSpec(n, p), rr.NormSpec(m, p))
+            X = rng.standard_normal((200, n))
+            Y = rng.standard_normal((200, n)) @ A.T
+            Y[::10] = rng.standard_normal((20, m))  # off the range of the rank-deficient maps
+            d = F.inverse_distances(X, Y)
+            R = X @ A.T - Y
+            ref = PolyhedronProjector(np.vstack([A, -A]), p).solve_batch(np.hstack([R, -R]).T)[2]
+            assert np.array_equal(np.isinf(d), np.isinf(ref))
+            assert np.isfinite(d).sum() >= 20
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(d[finite] - ref[finite]) <= 1e-12 * ref[finite])
+    wide = rr.LinearMapping([[2.0, 0.5]], rr.NormSpec(2, 1.0), rr.NormSpec(1, 1.0))
+    assert sorted(wide._dual_vertices[0].ravel()) == [-0.5, 0.5]
+
+
 def _images_by_definition(F, x):
     if isinstance(F, rr.LinearMapping):
         return [F.matrix @ x]
@@ -301,6 +328,12 @@ def _oracle_zoo():
         for shape in ((3, 3), (2, 3), (3, 2)):  # square, wide (with a kernel), tall
             A = rng.standard_normal(shape)
             zoo.append(rr.LinearMapping(A, rr.NormSpec(shape[1], p), rr.NormSpec(shape[0], p)))
+    # degenerate dual vertices: a vertex of the l_inf gauge on 4 facets in R^3,
+    # and an l1 map of rank 2 with a duplicated column
+    zoo.append(rr.LinearMapping(rng.standard_normal((3, 4)), rr.NormSpec(4, math.inf),
+                                rr.NormSpec(3, math.inf)))
+    zoo.append(rr.LinearMapping(rng.standard_normal((3, 2))[:, [0, 1, 1]], rr.NormSpec(3, 1.0),
+                                rr.NormSpec(3, 1.0)))
     zoo += [rr.load_mapping({"kind": "smooth-builtin", "builtin": name}, rr.NormSpec(1),
                             rr.NormSpec(1)) for name in rr.mappings.BUILTIN_SMOOTH]
     B = rr.load_mapping({"kind": "smooth-builtin", "builtin": "abs-branches"},
@@ -324,6 +357,8 @@ def _oracle_zoo():
         X = 0.4 * rng.standard_normal((rows, F.domain.dimension))
         Y = 0.4 * rng.standard_normal((rows, F.codomain.dimension))
         roots = None
+        if isinstance(F, rr.LinearMapping) and np.linalg.matrix_rank(F.matrix) < len(F.matrix):
+            Y[::2] = F.image_rows(X[::2] + 0.1)[1]  # half of them in the range
         if isinstance(F, rr.FiniteGraphMapping):
             # stored x and y in the first half, off-sample ones after
             picks = rng.integers(0, len(F.graph.points), (2, rows // 2))
