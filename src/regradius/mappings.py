@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, product
+from itertools import combinations, compress, islice, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,9 @@ from .spaces import (
 
 #: residual below which a point counts as lying on a graph
 ON_GRAPH_TOL = 1e-10
+
+#: entries of one block of the dual-vertex list's candidates or gauge values (8 MiB of floats)
+_BLOCK = 2**20
 
 
 class GraphMembershipError(ValueError):
@@ -247,41 +250,65 @@ class LinearMapping(MappingModel):
             W = W - _matvecs(self._null, _matvecs(self._null.T, W))
             # the 1-D dot np.linalg.norm takes, row by row
             out[owner] = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
-        else:
-            out[owner] = self._gauge(x[owner], y[owner])
+        else:  # in blocks of rows whose (rows x vertices) values fit in _BLOCK
+            step = max(1, _BLOCK // len(self._dual_vertices[0]))
+            for s in range(0, len(owner), step):
+                rows = owner[s:s + step]
+                out[rows] = self._gauge(x[rows], y[rows])
         return out
 
     @cached_property
     def _dual_vertices(self) -> tuple[np.ndarray, ...]:
-        """(M, S, J, P): the vertices mu = M[f] of D = {mu : ||B^T mu||_p* <= 1},
+        """(M, S, g, J): the vertices mu = M[f] of D = {mu : ||B^T mu||_p* <= 1},
         B = Q^T A for the basis Q of range A, so that min{||v||_p : A v = r} =
         max_f <M[f], Q^T r> (LP duality; Rockafellar, *Convex Analysis*, 1970,
-        sec. 31).  A vertex is listed once per set of columns J[f] defining it,
-        with its primal point: v = value * S[f] off J[f], v[J[f]] = P[f] (Q^T r
-        - B v).  p = 1: mu solves <sign_j b_j, mu> = 1 on k = rank A columns,
+        sec. 31).  A vertex is listed once per set of columns J[g[f]] defining
+        it, with the signs S[f] of its primal point off those columns (see
+        _gauge).  p = 1: mu solves <sign_j b_j, mu> = 1 on k = rank A columns,
         from C(n, k) 2^k candidates.  p = inf: mu = +-nu / ||B^T nu||_1, nu
-        orthogonal to k - 1 columns, 2 C(n, k - 1) candidates, times both signs
-        of every further column in nu's hyperplane."""
+        orthogonal to k - 1 columns, 2 C(n, k - 1) candidates, times both
+        signs of every further nonzero column in nu's hyperplane.  The column
+        sets go in blocks of about _BLOCK candidate entries, and only the sets
+        that define a vertex are kept, so memory follows the vertex count, not
+        the candidate count."""
         B = self._range.T @ self.matrix
         k, n = B.shape
         if k == 0:  # A = 0: D = {0}
-            return np.zeros((1, 0)), np.zeros((1, n)), np.zeros((1, 0), int), np.zeros((1, 0, 0))
-        size = k if self.domain.p == 1.0 else k - 1
-        J = np.array(list(combinations(range(n), size)), dtype=int).reshape(math.comb(n, size), size)
-        u, sv, vt = np.linalg.svd(B[:, J].transpose(1, 0, 2))
-        ok = sv.min(axis=1, initial=math.inf) > 1e-13 * sv.max(axis=1, initial=0.0)
-        J, u, sv, vt = J[ok], u[ok], sv[ok], vt[ok]
-        P = np.matmul(np.swapaxes(vt, 1, 2) / sv[:, None, :], np.swapaxes(u[:, :, :size], 1, 2))
-        if self.domain.p == 1.0:
-            signs = np.array(list(product((1.0, -1.0), repeat=k)))
-            M = np.matmul(signs[None], P).reshape(-1, k)
-            top = np.abs(M @ B).max(axis=1)
-            keep = np.flatnonzero(top <= 1.0 + 1e-9)
-            f = keep // len(signs)
-            return M[keep] / top[keep, None], np.zeros((len(keep), n)), J[f], P[f]
-        nu = u[:, :, -1]
+            return np.zeros((1, 0)), np.zeros((1, n), np.int8), np.zeros(1, int), np.zeros((1, 0), int)
+        l1 = self.domain.p == 1.0
+        size = k if l1 else k - 1
+        subsets = combinations(range(n), size)
+        step = max(1, _BLOCK // (n << k if l1 else n * k))
+        signs = np.array(list(product((1.0, -1.0), repeat=k if l1 else 0)))
+        cols, base = [[], [], [], []], 0
+        for chunk in iter(lambda: list(islice(subsets, step)), []):
+            J = np.array(chunk, dtype=int).reshape(len(chunk), size)
+            u, sv, vt = np.linalg.svd(B[:, J].transpose(1, 0, 2))
+            ok = sv.min(axis=1, initial=math.inf) > 1e-13 * sv.max(axis=1, initial=0.0)
+            J, u, sv, vt = J[ok], u[ok], sv[ok], vt[ok]
+            if l1:  # the feasible mu^T = sigma^T B_J^-1 over the sign vectors sigma
+                inv = np.matmul(np.swapaxes(vt, 1, 2) / sv[:, None, :], np.swapaxes(u, 1, 2))
+                M = np.matmul(signs[None], inv).reshape(-1, k)
+                top = np.abs(M @ B).max(axis=1)
+                f = np.flatnonzero(top <= 1.0 + 1e-9)
+                M, S, f = M[f] / top[f, None], np.zeros((len(f), n), np.int8), f // len(signs)
+            else:
+                M, S, f = self._linf_vertices(B, J, u[:, :, -1])
+            used, f = np.unique(f, return_inverse=True)
+            for c, a in zip(cols, (M, S, f + base, J[used])):
+                c.append(a)
+            base += len(used)
+        # each column's blocks are freed as soon as they are joined
+        return tuple(np.concatenate(cols.pop(0)) for _ in range(len(cols)))
+
+    @staticmethod
+    def _linf_vertices(B: np.ndarray, J: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(M, S, f): +-nu[f] / ||B^T nu[f]||_1 with the signs S of <b_j, mu>
+        off J[f], once per sign pattern of the free columns: the nonzero
+        columns off J[f] in nu[f]'s hyperplane."""
         g = nu @ B
-        free = np.abs(g) <= 1e-9 * np.linalg.norm(B, axis=0)
+        cn = np.linalg.norm(B, axis=0)
+        free = (np.abs(g) <= 1e-9 * cn) & (cn > 0)
         np.put_along_axis(free, J, False, axis=1)
         S = np.sign(g)
         np.put_along_axis(S, J, 0.0, axis=1)
@@ -290,22 +317,25 @@ class LinearMapping(MappingModel):
         f = np.repeat(np.arange(len(J)), z)
         bit = ((np.arange(len(f)) - np.repeat(np.cumsum(z) - z, z))[:, None]
                >> (np.cumsum(free, axis=1)[f] - 1)) & 1
-        S = np.where(free[f], 1.0 - 2.0 * bit, S[f])
+        S = np.where(free[f], 1.0 - 2.0 * bit, S[f]).astype(np.int8)
         M = (nu / np.abs(g).sum(axis=1, keepdims=True))[f]
-        return np.vstack([M, -M]), np.vstack([S, -S]), np.tile(J[f], (2, 1)), np.tile(P[f], (2, 1, 1))
+        return np.vstack([M, -M]), np.vstack([S, -S]), np.tile(f, 2)
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """max_f <M[f], Q^T (A x - y)> per row, certified by the primal v of a
-        vertex within 1e-9 of it: ||A v - (A x - y)|| <= 1e-9 (1 + ||y||), as
-        in preimage_rows, and ||v||_p <= value (1 + 1e-9)."""
-        M, S, J, P = self._dual_vertices
+        vertex within 1e-9 of it: v = value * S[f] off its columns J, and
+        v[J] = B_J^+ (Q^T (A x - y) - B v) on them, with ||A v - (A x - y)|| <=
+        1e-9 (1 + ||y||), as in preimage_rows, and ||v||_p <= value (1 + 1e-9)."""
+        M, S, g, J = self._dual_vertices
         R = _matvecs(self.matrix, x) - y
         V = _matvecs(M, _matvecs(self._range.T, R))
         value = V.max(axis=1)
         i, f = np.nonzero(V >= (value - 1e-9 * np.abs(value))[:, None])
         v = value[i, None] * S[f]
         rest = (R[i] - v @ self.matrix.T) @ self._range
-        v[np.arange(len(f))[:, None], J[f]] = np.matmul(P[f], rest[:, :, None])[:, :, 0]
+        used, h = np.unique(g[f], return_inverse=True)
+        pinv = np.linalg.pinv((self._range.T @ self.matrix)[:, J[used]].transpose(1, 0, 2))
+        v[np.arange(len(f))[:, None], J[g[f]]] = np.matmul(pinv[h], rest[:, :, None])[:, :, 0]
         ok = (norms(v, self.domain) <= value[i] * (1.0 + 1e-9)) & (norms(
             v @ self.matrix.T - R[i], self.codomain) <= 1e-9 * (1.0 + norms(y[i], self.codomain)))
         missing = int((np.bincount(i[ok], minlength=len(x)) == 0).sum())

@@ -283,15 +283,19 @@ def test_linear_nearest_preimages_match_pinv_row_by_row():
     assert missed >= 300
 
 
-def test_polyhedral_inverse_distance_gauge_matches_simplex():
+def test_polyhedral_inverse_distance_gauge_matches_simplex(monkeypatch):
     from regradius._minnorm import PolyhedronProjector
 
+    # blocks of a few column sets and rows, so every list and batch spans several
+    monkeypatch.setattr(rr.mappings, "_BLOCK", 64)
     rng = np.random.default_rng(20)
     matrices = [rng.standard_normal(shape) for shape in ((1, 2), (2, 3), (2, 4), (3, 4))]
     A = rng.standard_normal((2, 5))
     matrices.append(np.vstack([A, A[0] + A[1]]))  # rank 2
     matrices.append(rng.standard_normal((2, 2))[:, [0, 1, 1]])  # a duplicated column
     matrices.append(np.zeros((1, 2)))  # rank 0
+    matrices.append(rng.standard_normal((3, 1))[:, [0, 0]])  # tall, rank 1
+    matrices.append(np.pad(rng.standard_normal((1, 2)), ((0, 0), (0, 4))))  # 4 zero columns
     for A in matrices:
         m, n = A.shape
         for p in (1.0, math.inf):
@@ -306,6 +310,8 @@ def test_polyhedral_inverse_distance_gauge_matches_simplex():
             assert np.isfinite(d).sum() >= 20
             finite = np.isfinite(ref)
             assert np.all(np.abs(d[finite] - ref[finite]) <= 1e-12 * ref[finite])
+            if n == 6:  # one vertex pair, with no sign patterns of the zero columns
+                assert len(F._dual_vertices[0]) == 2
     wide = rr.LinearMapping([[2.0, 0.5]], rr.NormSpec(2, 1.0), rr.NormSpec(1, 1.0))
     assert sorted(wide._dual_vertices[0].ravel()) == [-0.5, 0.5]
 
