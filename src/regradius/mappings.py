@@ -177,6 +177,26 @@ class MappingModel:
         pick = nearest_per_owner(owner, norms(U - np.asarray(near, dtype=float)[owner], self.domain))
         return owner[pick], U[pick]
 
+    def _preimage_jacobians(self, targets, near, U) -> np.ndarray:
+        """The derivative at targets[i] of the preimage nearest to near[i],
+        U[i], as (rows, n, m): forward differences through _nearest_preimages
+        with the same near, so the branch is kept."""
+        return _forward_differences(lambda Z, i: self._nearest_preimages(Z, near[i]), targets, U)
+
+
+def _forward_differences(g, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobians (rows, outputs, inputs) at the rows of X
+    of a row function with values G there: g(Z, i) gives (the rows of Z with
+    a value, their values), Z[j] a shift of X[i[j]] by sqrt(eps) (1 + |x|).
+    NaN where a shift has no value."""
+    k, n = X.shape
+    Z = X[:, None, :] + np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(X))[:, :, None] * np.eye(n)
+    rows, V = g(Z.reshape(k * n, n), np.repeat(np.arange(k), n))
+    D = np.full((k * n, G.shape[1]), math.nan)
+    D[rows] = V
+    D = D.reshape(k, n, G.shape[1]) - G[:, None, :]
+    return np.swapaxes(D / (np.diagonal(Z, axis1=1, axis2=2) - X)[:, :, None], 1, 2)
+
 
 def _least(count: int, owner: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The least d of each owner in range(count); +inf for an owner with none."""
@@ -199,6 +219,14 @@ def f_rows(f, X: np.ndarray, m: int) -> np.ndarray:
     if rows is not None:
         return rows(X)
     return np.array([as_vector(f(x)) for x in X]).reshape(len(X), m)
+
+
+def f_jacobians(f, X: np.ndarray, m: int) -> np.ndarray:
+    """The Jacobian of f at each row of X, as (rows, m, n): f.jacobian_rows
+    where f has it, else forward differences through f_rows."""
+    if hasattr(f, "jacobian_rows"):
+        return f.jacobian_rows(X)
+    return _forward_differences(lambda Z, i: (np.arange(len(Z)), f_rows(f, Z, m)), X, f_rows(f, X, m))
 
 
 def _matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -235,6 +263,10 @@ class LinearMapping(MappingModel):
         cod = self.codomain
         on = ~(norms(_matvecs(self.matrix, U) - Y, cod) > 1e-9 * (1.0 + norms(Y, cod)))
         return np.flatnonzero(on), U[on]
+
+    def _preimage_jacobians(self, targets, near, U) -> np.ndarray:
+        # the one preimage candidate is pinv @ y
+        return np.broadcast_to(self._pinv, (len(targets), *self._pinv.shape))
 
     def inverse_distances(self, x, y, roots=None) -> np.ndarray:
         """d(x[i], A^-1 y[i]) of each row pair: +inf where preimage_rows finds
@@ -456,21 +488,34 @@ class PerturbedMapping(MappingModel):
         x = np.asarray(x, dtype=float)
         return self.base.distances_to_image(x, np.asarray(y, dtype=float) - self._shift(x))
 
-    def _iterate(self, y: np.ndarray, u: np.ndarray, damping: float,
-                 max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-        """The fixed-point iteration u <- u + damping * (v - u), v the base
-        preimage of y - scale * f(u) nearest to u, run on every row at once.
-        A row stops when it has no base preimage or its step falls below
-        1e-15 (1 + ||u||).  Returns the final points and the mask of those
-        whose residual verifies."""
+    def _iterate(self, y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Newton steps on the fixed point u = N(y - scale f(u); u), N(z; u)
+        the base preimage of z nearest to u, run on every row at once: u <- u
+        + (I + scale DN J_f)^-1 (N - u), DN the derivative of N at z and J_f
+        the Jacobian of f at u.  A row with J_f = 0, or whose matrix is
+        singular, takes the plain step N - u.  A row stops when it has no
+        base preimage or its step falls below 1e-15 (1 + ||u||), after at
+        most 48 steps.  Returns the final points and the mask of those whose
+        residual verifies."""
         u = u.copy()
         live = np.arange(len(u))
-        for _ in range(max_iter):
+        n, m = self.domain.dimension, self.codomain.dimension
+        for _ in range(48):
             if not live.size:
                 break
-            rows, nxt = self.base._nearest_preimages(y[live] - self._shift(u[live]), u[live])
-            live = live[rows]
-            step = damping * (nxt - u[live])
+            z = y[live] - self._shift(u[live])
+            rows, nxt = self.base._nearest_preimages(z, u[live])
+            live, z = live[rows], z[rows]
+            step = nxt - u[live]
+            J = f_jacobians(self.f, u[live], m)
+            newton = np.flatnonzero(J.any(axis=(1, 2)))
+            if newton.size:
+                DN = self.base._preimage_jacobians(z[newton], u[live[newton]], nxt[newton])
+                M = np.eye(n) + self.scale * np.matmul(DN, J[newton])
+                fine = np.isfinite(M).all(axis=(1, 2))
+                fine[fine] = np.linalg.det(M[fine]) != 0.0
+                newton, M = newton[fine], M[fine]
+                step[newton] = np.linalg.solve(M, step[newton][:, :, None])[:, :, 0]
             u[live] = u[live] + step
             live = live[~(norms(step, self.domain) <= 1e-15 * (1.0 + norms(u[live], self.domain)))]
         tol = 1e-10 * (1.0 + norms(y, self.codomain))
@@ -479,8 +524,7 @@ class PerturbedMapping(MappingModel):
     def _roots(self, y: np.ndarray, roots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Verified multistart roots of y[i] in F(u) + scale * f(u), for every row
         i at once.  The starts of row i are roots[i] (when given), then the base
-        preimages of y[i].  Damping 1 runs first; a row with no verified root
-        retries every start with damping 0.5.  Returns the row index of each
+        preimages of y[i], each run by _iterate.  Returns the row index of each
         root and the roots, in start order, less those within
         1e-12 (1 + ||r||) of an earlier root of their row."""
         try:
@@ -492,10 +536,7 @@ class PerturbedMapping(MappingModel):
             owner = np.concatenate([np.arange(len(y)), owner])
             order = np.argsort(owner, kind="stable")
             owner, u0 = owner[order], np.vstack([roots, u0])[order]
-        u, ok = self._iterate(y[owner], u0, 1.0, 48)
-        retry = (np.bincount(owner[ok], minlength=len(y)) == 0)[owner]
-        if retry.any():
-            u[retry], ok[retry] = self._iterate(y[owner[retry]], u0[retry], 0.5, 120)
+        u, ok = self._iterate(y[owner], u0)
         # dedupe in start order; the starts of one row are consecutive, so the
         # start at position j of a row sits k places after its position j - k
         position = np.arange(len(owner)) - np.searchsorted(owner, owner)

@@ -189,6 +189,35 @@ class BumpPerturbation:
         out[hit] = (-s * slope_pairing[:, 0, 0])[:, None] * self._directions[which]
         return out
 
+    def jacobian_rows(self, X) -> np.ndarray:
+        """The Jacobian of f at each row of X, (rows, m, n): -v (s x* + <x*, x - c>
+        grad s)^T in the open support holding x, grad s = -(e / rho) q^(e - 1)
+        grad ||x - c|| (sign(0) = 0 and p = inf's first largest entry at the
+        kinks); 0 outside every support."""
+        X = np.asarray(X, dtype=float)
+        k, n = X.shape
+        out = np.zeros((k, self.codomain.dimension, n))
+        if not self.bumps:
+            return out
+        d = X[:, None, :] - self._centers
+        dist = norms(d.reshape(-1, n), self.domain).reshape(k, len(self.bumps))
+        inside = dist < self._radii
+        hit = np.flatnonzero(inside.any(axis=1))
+        which = inside[hit].argmax(axis=1)
+        d, dist, rho = d[hit, which], dist[hit, which], self._radii[which]
+        q, e = dist / rho, np.array(self._exponents)[which]
+        if self.domain.p == 2.0:
+            grad = np.divide(d, dist[:, None], out=np.zeros_like(d), where=dist[:, None] > 0.0)
+        elif self.domain.p == 1.0:
+            grad = np.sign(d)
+        else:
+            grad = np.where(np.arange(n) == np.abs(d).argmax(axis=1)[:, None], np.sign(d), 0.0)
+        grad_s = -(e / rho * q ** (e - 1.0))[:, None] * grad
+        slopes = self._slopes[which]
+        row = (1.0 - q ** e)[:, None] * slopes + (slopes * d).sum(axis=1)[:, None] * grad_s
+        out[hit] = -self._directions[which][:, :, None] * row[:, None, :]
+        return out
+
     def to_json(self) -> dict:
         return {
             "base_point": self.base_point.tolist(),

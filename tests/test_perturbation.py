@@ -372,6 +372,38 @@ def test_bump_rows_of_no_points(diag_bumps):
     assert diag_bumps.rows(np.empty((0, 2))).shape == (0, 2)
 
 
+@pytest.mark.parametrize("p_dom, p_cod", [(2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)])
+def test_bump_jacobian_rows_match_central_differences(p_dom, p_cod):
+    dom, cod = rr.NormSpec(2, p_dom), rr.NormSpec(2, p_cod)
+    t = (1.0, 0.4)
+    units = [np.array(u) / rr.norm(u, dom) for u in ([1.0, 0.2], [0.3, 0.5])]
+    radii = (0.3, 0.15)  # half the gap to the next center, the last one at t / 4
+    bumps = tuple(BumpSpec(ti * u, r, s, v, k) for ti, u, r, s, v, k in zip(
+        t, units, radii, ([0.7, -0.4], [-0.2, 0.9]), ([1.0, 0.0], [0.6, -0.8]), (25, 26)))
+    P = BumpPerturbation(bumps, [0.0, 0.0], t, dom, cod)
+    rng = np.random.default_rng(3)
+    X, h = [], 1e-6
+    for b in bumps:
+        d = rng.standard_normal((400, 2))
+        d *= (b.radius * rng.uniform(0.2, 0.9, 400) / rr.norms(d, dom))[:, None]
+        # away from the norm's kinks: no zero entry, no tie of the largest entries
+        a = np.abs(d)
+        X.append(b.center + d[(a.min(axis=1) > 1e3 * h) & (np.abs(a[:, 0] - a[:, 1]) > 1e3 * h)])
+    X = np.vstack(X)
+    assert len(X) >= 600
+    J = P.jacobian_rows(X)
+    central = np.stack([(P.rows(X + h * e) - P.rows(X - h * e)) / (2.0 * h) for e in np.eye(2)],
+                       axis=2)
+    np.testing.assert_allclose(J, central, rtol=0.0, atol=1e-7)
+    assert np.abs(J).max(axis=(1, 2)).min() > 0.01
+    # exactly 0 outside the supports: on their boundaries, beyond them and near the base point
+    ring = np.vstack([b.center + rng.uniform(1.0, 1.5, (100, 1)) * b.radius * units[k]
+                      for k, b in enumerate(bumps)])
+    far = np.vstack([ring, rng.uniform(-0.05, 0.05, (100, 2)), [[3.0, 3.0]]])
+    assert not P.jacobian_rows(far).any()
+    assert P.jacobian_rows(np.empty((0, 2))).shape == (0, 2, 2)
+
+
 def test_perturbed_map_with_no_base_preimage_finds_no_root(diag_bumps):
     # y = (0, 1) leaves the range of the base, so no start exists
     F = rr.LinearMapping([[1.0, 0.0], [0.0, 0.0]])
@@ -402,50 +434,61 @@ def test_destabilized_rg_drops_no_pair_for_a_missing_root():
     assert 0.0 <= est.value < math.inf
 
 
-def _scalar_roots(G, y, starts, damping, max_iter=48):
-    roots = []
-    tol = 1e-10 * (1.0 + rr.norm(y, G.codomain))
-    for u in starts:
-        u = np.array(u, dtype=float)
-        for _ in range(max_iter):
-            target = y - G.scale * np.asarray(G.f(u))
-            cands = G.base.inverse_points(target)
-            if not cands:
-                break
-            nxt = min(cands, key=lambda c: rr.norm(c - u, G.domain))
-            step = damping * (nxt - u)
-            u = u + step
-            if rr.norm(step, G.domain) <= 1e-15 * (1.0 + rr.norm(u, G.domain)):
-                break
-        if G.distance_to_image(u, y) <= tol:
-            roots.append(u)
-    return roots
+def _bisect_roots(g, lo, hi, points=2001):
+    """Every sign change of the vectorized g on each row's [lo, hi], by a
+    scan of `points` grid points and bisection: (row, root) arrays."""
+    s = np.linspace(0.0, 1.0, points)
+    T = lo[:, None] + (hi - lo)[:, None] * s
+    V = g(np.arange(len(lo))[:, None].repeat(points, axis=1), T)
+    i, j = np.nonzero((V[:, :-1] == 0.0) | (np.sign(V[:, :-1]) * np.sign(V[:, 1:]) < 0.0))
+    a, b, ga = T[i, j], T[i, j + 1], V[i, j]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        gm = g(i, mid)
+        left = (np.sign(gm) != np.sign(ga)) | (ga == 0.0)
+        a, b, ga = np.where(left, a, mid), np.where(left, mid, b), np.where(left, ga, gm)
+    return i, 0.5 * (a + b)
 
 
-def _scalar_inverse_distance(G, x, y, anchors):
-    """The per-start root loop of PerturbedMapping.inverse_distance, one pair
-    and one start at a time; also says whether the damping-0.5 retry ran."""
-    best = math.inf
-    tol = 1e-10 * (1.0 + rr.norm(y, G.codomain))
-    for a in anchors:
-        if G.distance_to_image(a, y) <= tol:
-            best = min(best, rr.norm(a - x, G.domain))
-    starts = list(anchors) + G.base.inverse_points(y)
-    roots = _scalar_roots(G, y, starts, 1.0)
-    retried = not roots
-    if retried:
-        roots = _scalar_roots(G, y, starts, 0.5, 120)
-    kept = []
-    for r in roots:
-        if all(rr.norm(r - o, G.domain) > 1e-12 * (1.0 + rr.norm(r, G.domain)) for o in kept):
-            kept.append(r)
-    for r in kept:
-        best = min(best, rr.norm(r - x, G.domain))
-    return best, retried
+def _rank_one_nearest_roots(F, P, x, y):
+    """d(x[i], (F + P)^-1 y[i]) for an invertible linear F and Euclidean
+    bumps P, exactly: inside bump k, F u - phi_k(u) v_k = y gives u = A^-1 (y
+    + t v_k) with t = phi_k(u), phi_k(u) = s_k(u) <x*_k, u - c_k>; a root t
+    counts where u lies in bump k's support.  t = 0 gives the root A^-1 y
+    where A^-1 y lies outside every support."""
+    Ainv = np.linalg.inv(F.matrix)
+    u0 = y @ Ainv.T
+    best = np.full(len(x), math.inf)
+    outside = np.ones(len(x), dtype=bool)
+    for b in P.bumps:
+        w = Ainv @ b.direction
+        a = u0 - b.center
+        outside &= np.linalg.norm(a, axis=1) >= b.radius
+        # the t with ||a + t w|| < radius: an interval, empty where the disc is missed
+        qa, qb, qc = w @ w, 2.0 * a @ w, (a * a).sum(axis=1) - b.radius ** 2
+        disc = qb ** 2 - 4.0 * qa * qc
+        rows = np.flatnonzero(disc > 0.0)
+        root = np.sqrt(disc[rows])
+        lo, hi = (-qb[rows] - root) / (2.0 * qa), (-qb[rows] + root) / (2.0 * qa)
+
+        def g(i, t, rows=rows, a=a, w=w, b=b):
+            d = a[rows[i]] + t[..., None] * w
+            q = np.linalg.norm(d, axis=-1) / b.radius
+            return np.maximum(1.0 - q ** b.exponent, 0.0) * (d @ b.slope) - t
+
+        i, t = _bisect_roots(g, lo, hi)
+        np.minimum.at(best, rows[i], np.linalg.norm(u0[rows[i]] + t[:, None] * w - x[rows[i]], axis=1))
+    best[outside] = np.minimum(best[outside], np.linalg.norm(u0[outside] - x[outside], axis=1))
+    return best
 
 
-def test_perturbed_inverse_distances_match_the_scalar_loop(diag_bumps):
-    F, base, P = diag_map(2.0, 0.5), origin(2), diag_bumps
+@pytest.mark.parametrize("F", [diag_map(2.0, 0.5), identity_map(2)], ids=["diag", "identity-2d"])
+def test_perturbed_inverse_distances_match_the_rank_one_roots(F):
+    # each pair's distance is that of its nearest exact root, also where the
+    # map is nearly singular inside a bump (lip(P) close to rg(F))
+    base = origin(2)
+    sched = fast_schedule(8)
+    P = rr.build_perturbation(F, base, sched, K=6, rg_plus=rr.rg_plus_estimate(F, base, sched))
     G = rr.add_perturbation(F, P, 1.0, base)
     rng = np.random.default_rng(0)
     centers = np.array([b.center for b in P.bumps])
@@ -455,33 +498,36 @@ def test_perturbed_inverse_distances_match_the_scalar_loop(diag_bumps):
     roots = centers[which] + rng.standard_normal((400, 2)) * radii[which, None]
     y = np.array([G.images(r)[0] for r in roots]) \
         + rng.standard_normal((400, 2)) * 0.3 * radii[which, None]
+    want = _rank_one_nearest_roots(F, P, x, y)
+    assert np.isfinite(want).all()
     for starts in (roots, None):
         got = G.inverse_distances(x, y, starts)
-        want, retried = zip(*(_scalar_inverse_distance(G, x[i], y[i],
-                                                       () if starts is None else (starts[i],))
-                              for i in range(len(x))))
-        assert got.tobytes() == np.array(want).tobytes()
-        want = np.array(want)
-        # rows with no root, and rows whose root only the damping-0.5 retry finds
-        assert np.isinf(want).sum() >= 1
-        assert (np.array(retried) & np.isfinite(want)).sum() >= 5
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
         for i in range(0, len(x), 20):
             one = G.inverse_distance(x[i], y[i], None if starts is None else starts[i])
-            assert np.float64(one).tobytes() == want[i].tobytes()
+            assert np.float64(one).tobytes() == got[i].tobytes()
 
 
 def test_perturbed_inverse_distances_over_a_two_branch_base():
     # the base's preimages come from inverse_points, nearest first, and f is
     # called row by row; an outer perturbation takes its starts from the inner
-    # one's roots
+    # one's roots.  Every distance is that of the nearest root of either
+    # branch, found by a scan of [-10, 10] (which holds every root of both)
     inner = rr.add_perturbation(branch_map(), lambda x: 0.3 * np.sin(3.0 * x), 1.0, origin())
     outer = rr.add_perturbation(inner, lambda x: 0.2 * x ** 2, 1.0, origin())
     rng = np.random.default_rng(5)
     x, y, roots = (rng.uniform(-1.0, 1.0, (60, 1)) for _ in range(3))
-    for G, rows in ((inner, 60), (outer, 4)):
+    for G, rows, extra in ((inner, 60, 0.0), (outer, 4, 0.2)):
+        want = np.full(rows, math.inf)
+        for sign in (1.0, -1.0):
+            def g(i, t, sign=sign, extra=extra):
+                return sign * t + 0.3 * np.sin(3.0 * t) + extra * t ** 2 - y[i, 0]
+            i, t = _bisect_roots(g, np.full(rows, -10.0), np.full(rows, 10.0), 4001)
+            np.minimum.at(want, i, np.abs(t - x[i, 0]))
         for starts in (roots[:rows], None):
             got = G.inverse_distances(x[:rows], y[:rows], starts)
-            want = [_scalar_inverse_distance(G, x[i], y[i], () if starts is None else (starts[i],))[0]
-                    for i in range(rows)]
-            assert got.tobytes() == np.array(want).tobytes()
-            assert np.isfinite(got).sum() >= rows // 2
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+            for i in range(rows):
+                one = G.inverse_distance(x[i], y[i], None if starts is None else starts[i])
+                assert np.float64(one).tobytes() == got[i].tobytes()
