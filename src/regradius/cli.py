@@ -210,7 +210,7 @@ def parse_config(text) -> ExperimentConfig:
 def _trace_rows(label: str, est: moduli.ModulusEstimate | None) -> list[tuple[str, float, float]]:
     if est is None:
         return []
-    return [(label, d, (math.inf if math.isinf(v) else v)) for d, v in est.per_scale]
+    return [(label, d, v) for d, v in est.per_scale]
 
 
 def _run_task(config: ExperimentConfig, idx: int, task: TaskSpec):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .spaces import (
     ball_sample,
     dual_norm,
     generator,
+    inf_from_json,
+    inf_to_json,
     norm,
     norms,
     sphere_grid,
@@ -118,10 +119,6 @@ class ScaleWitness:
         }
 
 
-def _json_value(v: float):
-    return "inf" if math.isinf(v) else v
-
-
 @dataclass(frozen=True)
 class ModulusEstimate:
     """A per-scale trail of infima (suprema for lip) with diagnostics."""
@@ -155,8 +152,8 @@ class ModulusEstimate:
     def to_json(self) -> dict:
         witness = self.witnesses[-1].to_json() if self.witnesses else None
         doc = {
-            "value": _json_value(self.value),
-            "per_scale": [[d, _json_value(v)] for d, v in self.per_scale],
+            "value": inf_to_json(self.value),
+            "per_scale": [[d, inf_to_json(v)] for d, v in self.per_scale],
             "stabilized": self.stabilized,
             "low_confidence": self.low_confidence,
             "witness": witness,
@@ -169,13 +166,10 @@ class ModulusEstimate:
 
     @classmethod
     def from_json(cls, doc: dict, kind: str = "rg") -> "ModulusEstimate":
-        def _num(v):
-            return math.inf if v == "inf" else float(v)
-
-        per_scale = tuple((float(d), _num(v)) for d, v in doc["per_scale"])
+        per_scale = tuple((float(d), inf_from_json(v)) for d, v in doc["per_scale"])
         dropped = doc.get("dropped", {})
         counts = doc.get("subproblems", {})
-        return cls(_num(doc["value"]), per_scale, bool(doc["stabilized"]), kind=kind,
+        return cls(inf_from_json(doc["value"]), per_scale, bool(doc["stabilized"]), kind=kind,
                    low_confidence=bool(doc.get("low_confidence", False)),
                    dropped=tuple(int(dropped.get(r, 0)) for r in DROP_REASONS),
                    subproblems=tuple(int(counts.get(c, 0)) for c in SUBPROBLEM_COUNTS))
@@ -194,14 +188,14 @@ def _stabilized(values: list[float]) -> bool:
 # epsilon-normals and coderivative elements
 # ---------------------------------------------------------------------------
 
-def _neighbors(sample: SampledGraph, at: GraphPoint, radius: float):
-    """Offsets (u - x, v - y) and pair distances of the sample points (u, v)
-    within `radius` of `at` = (x, y), `at` itself left out."""
-    sample.index_of(at)  # raises when `at` is not in the sample
-    dists = sample.pair_distances_to(at)
-    # points equal to `at` sit at distance 0 and drop out with it
+def _neighbors(xs: np.ndarray, ys: np.ndarray, at: GraphPoint, radius: float, spaces):
+    """Offsets (u - x, v - y) and pair distances of the rows (u, v) of
+    (xs, ys) within `radius` of `at` = (x, y), rows equal to `at` left out."""
+    du, dv = xs - at.x, ys - at.y
+    # the pair distances of SampledGraph.pair_distances_to
+    dists = norms(du, spaces.left) + norms(dv, spaces.right)
     near = (dists > 0.0) & (dists <= radius)
-    return sample.xs[near] - at.x, sample.ys[near] - at.y, dists[near]
+    return du[near], dv[near], dists[near]
 
 
 def _growth_below(du: np.ndarray, dv: np.ndarray, dist: np.ndarray, wx, wy, eps: float) -> bool:
@@ -215,7 +209,8 @@ def eps_normal_test(sample: SampledGraph, at: GraphPoint, w_pair, eps: float,
     """Discretized normal-cone test: pairing growth stays below (eps - slack) * r."""
     if test_radius <= 0:
         raise ValueError("test_radius must be positive")
-    du, dv, dist = _neighbors(sample, at, test_radius)
+    sample.index_of(at)  # raises when `at` is not in the sample
+    du, dv, dist = _neighbors(sample.xs, sample.ys, at, test_radius, sample.spaces)
     return _growth_below(du, dv, dist, as_vector(w_pair[0]), as_vector(w_pair[1]), eps)
 
 
@@ -298,14 +293,16 @@ def _golden_min(fun, lo: float, hi: float, iters: int):
 _CONSTRAINT_CAP = 96
 
 
-def _neighbor_system(sample: SampledGraph, at: GraphPoint, test_radius: float):
-    """Neighbors of `at` within test_radius, as `_neighbors` returns them,
-    plus the indices of the at most _CONSTRAINT_CAP of them that constrain
-    the minimization (None: all of them); None when there is no neighbor."""
-    du, dv, dist = _neighbors(sample, at, test_radius)
+def _neighbor_system(xs: np.ndarray, ys: np.ndarray, at: GraphPoint, test_radius: float,
+                     spaces):
+    """Neighbors of `at` among the rows of (xs, ys) within test_radius, as
+    `_neighbors` returns them, plus the indices of the at most
+    _CONSTRAINT_CAP of them that constrain the minimization; None when there
+    is no neighbor."""
+    du, dv, dist = _neighbors(xs, ys, at, test_radius, spaces)
     if not dist.size:
         return None
-    rows = None
+    rows = np.arange(dist.size)
     if dist.size > _CONSTRAINT_CAP:
         rows = np.argsort(dist, kind="stable")
         rows = rows[(np.arange(_CONSTRAINT_CAP) * (dist.size / _CONSTRAINT_CAP)).astype(int)]
@@ -348,20 +345,22 @@ def _lockstep(runs: list) -> tuple[list, int, int]:
     return results, solved, infeasible
 
 
-def _min_coderivative_steps(system, at: GraphPoint, eps: float, directions,
-                            spaces, refine: bool = True):
-    """`min_coderivative_norm` over a neighbor system of `at`, as a solve
-    generator (see `_lockstep`) returning the MinNormCoderivative."""
+def _grid_steps(system, at: GraphPoint, eps: float, directions, spaces):
+    """The direction grid of `min_coderivative_norm` over a neighbor system of
+    `at`, as a solve generator (see `_lockstep`) returning the grid's
+    MinNormCoderivative and the angle search from its best direction: a
+    solve generator returning the refined MinNormCoderivative, or None when
+    there is nothing to refine."""
     if system is None:
         elem = CoderivativeElement(at, directions[0], np.zeros(spaces.left.dimension), eps)
-        return MinNormCoderivative(0.0, elem, low_confidence=True)
+        return MinNormCoderivative(0.0, elem, low_confidence=True), None
     du, dv, dist, rows = system
     margin = max(2.0 * MEMBERSHIP_SLACK, 1e-6 * eps)
-    proj = PolyhedronProjector(du if rows is None else du[rows], spaces.left.q)
+    proj = PolyhedronProjector(du[rows], spaces.left.q)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         """(eps - margin) * r + V y* per constraint row, one column per direction."""
-        V, r = (dv, dist) if rows is None else (dv[rows], dist[rows])
+        V, r = dv[rows], dist[rows]
         if y.ndim == 2:
             return (eps - margin) * r[:, None] + V @ y
         return ((eps - margin) * r + V @ y)[:, None]
@@ -369,13 +368,20 @@ def _min_coderivative_steps(system, at: GraphPoint, eps: float, directions,
     # built only when the solve reaches it: a lockstep round holds many sweeps
     X, feasible, values = yield proj, lambda: rhs(np.column_stack(directions))
     k = int(np.argmin(values))
-    best_val, best_dir, best_x = math.inf, None, None
-    if feasible[k]:
-        best_val, best_dir, best_x = float(values[k]), directions[k], X[:, k]
-
+    if not feasible[k]:
+        return MinNormCoderivative(math.inf, None), None
     codomain = spaces.right
     m = codomain.dimension
-    if refine and best_dir is not None and m >= 2:
+
+    def result(best_val: float, best_dir: np.ndarray, best_x: np.ndarray):
+        if abs(dual_norm(best_dir, codomain) - 1.0) > 1e-9:
+            raise ValueError("y* must be a unit dual vector")
+        elem = CoderivativeElement(at, best_dir, best_x, eps)
+        # solver margin should keep x* a member; flag rather than trust the value
+        member = _growth_below(du, dv, dist, as_vector(best_x), -best_dir, eps)
+        return MinNormCoderivative(best_val, elem, low_confidence=not member)
+
+    def search(best_val: float, best_dir: np.ndarray, best_x: np.ndarray):
         angles = _unit_to_angles(best_dir)
         width = math.pi / max(4, len(directions) // (2 * m))
 
@@ -398,15 +404,20 @@ def _min_coderivative_steps(system, at: GraphPoint, eps: float, directions,
             width *= 0.35
             if sweep == 0 and best_val > before - 3e-3 * max(before, 1e-30):
                 break
+        return result(best_val, best_dir, best_x)
 
-    if best_dir is None:
-        return MinNormCoderivative(math.inf, None)
-    elem = CoderivativeElement(at, best_dir, best_x, eps)
-    if abs(dual_norm(best_dir, codomain) - 1.0) > 1e-9:
-        raise ValueError("y* must be a unit dual vector")
-    # solver margin should keep x* a member; flag rather than trust the value
-    member = _growth_below(du, dv, dist, as_vector(best_x), -best_dir, eps)
-    return MinNormCoderivative(best_val, elem, low_confidence=not member)
+    best = float(values[k]), directions[k], X[:, k]
+    return result(*best), (search(*best) if m >= 2 else None)
+
+
+def _min_coderivative_steps(system, at: GraphPoint, eps: float, directions, spaces,
+                            refine: bool = True):
+    """`min_coderivative_norm` over a neighbor system of `at`, as a solve
+    generator (see `_lockstep`) returning the MinNormCoderivative."""
+    res, search = yield from _grid_steps(system, at, eps, directions, spaces)
+    if refine and search is not None:
+        res = yield from search
+    return res
 
 
 def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
@@ -422,7 +433,8 @@ def min_coderivative_norm(sample: SampledGraph, at: GraphPoint, eps: float,
     directions = [as_vector(d) for d in directions]
     if not directions:
         raise ValueError("at least one direction required")
-    system = _neighbor_system(sample, at, test_radius)
+    sample.index_of(at)  # raises when `at` is not in the sample
+    system = _neighbor_system(sample.xs, sample.ys, at, test_radius, sample.spaces)
     (res,), _, _ = _lockstep([_min_coderivative_steps(system, at, eps, directions,
                                                       sample.spaces, refine)])
     return res
@@ -440,30 +452,15 @@ def _witness_solve(system, pt: GraphPoint, eps_scale: float, scale_res, dirs, sp
     The scale epsilon realizes the sup-inf trail, but harvested witnesses
     should carry slopes near the limiting value, which the smallest feasible
     epsilon delivers; the ladder falls back to the scale epsilon on graphs
-    whose curvature makes tiny epsilons infeasible at this radius.
+    whose curvature makes tiny epsilons infeasible at this radius.  A rung
+    passes when its grid's best direction is feasible and a member, and the
+    angle search then continues from that grid.
     """
     for rung in (eps_scale * 4.0**-4, eps_scale * 4.0**-2):
-        res = yield from _min_coderivative_steps(system, pt, rung, dirs, spaces, refine=False)
+        res, search = yield from _grid_steps(system, pt, rung, dirs, spaces)
         if res.feasible and not res.low_confidence:
-            res = yield from _min_coderivative_steps(system, pt, rung, dirs, spaces)
-            if res.feasible:
-                return res, rung
+            return (res if search is None else (yield from search)), rung
     return scale_res, eps_scale
-
-
-def _local_system_sample(F: MappingModel, pt: GraphPoint, radius: float,
-                         global_sample: SampledGraph, budget: int, seed: int) -> SampledGraph:
-    """Constraint sample centered at an evaluation point.
-
-    Shells centered at the point guarantee two-sided neighbor coverage in
-    every direction (the base-centered sample alone can leave a radial gap
-    around off-base points); nearby global points are merged in.
-    """
-    local = sample_graph(F, pt, radius, budget, seed=seed)
-    seen = {(p.x.tobytes(), p.y.tobytes()) for p in local.points}
-    nearby = compress(global_sample.points, global_sample.pair_distances_to(pt) <= radius)
-    merged = local.points + tuple(p for p in nearby if (p.x.tobytes(), p.y.tobytes()) not in seen)
-    return SampledGraph(pt, merged, radius, global_sample.spaces)
 
 
 def scale_sample(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule, j: int) -> SampledGraph:
@@ -472,29 +469,36 @@ def scale_sample(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule, j: 
                         seed=schedule.seed + 101 * j)
 
 
-def _point_system(F: MappingModel, sample: SampledGraph, i: int, j: int, halving: int,
+def _point_system(F: MappingModel, rows, pt: GraphPoint, i: int, j: int, halving: int,
                   schedule: ScaleSchedule):
-    """Neighbor system of evaluation point i of scale j (`sample` is that
-    scale's sample) at the halving-th test radius."""
-    pt = sample.points[i]
+    """Neighbor system of evaluation point pt, row i of the rows (xs, ys) of
+    scale j's sample, at the halving-th test radius.
+
+    The candidate rows are those of a sample centered at the point, whose
+    shells guarantee two-sided neighbor coverage in every direction (the
+    scale's base-centered sample alone can leave a radial gap around
+    off-base points), then the scale's rows that the first does not hold
+    byte for byte; the system keeps those within the test radius."""
     test_r = 0.5 * schedule.radii[j] * 2.0 ** -halving
-    local = _local_system_sample(F, pt, test_r, sample, schedule.samples_per_scale // 2,
-                                 seed=schedule.seed + 101 * j + 7 * i + halving)
-    return _neighbor_system(local, pt, test_r)
+    local = sample_graph(F, pt, test_r, schedule.samples_per_scale // 2,
+                         seed=schedule.seed + 101 * j + 7 * i + halving)
+    xs, ys = rows
+    seen = {(x.tobytes(), y.tobytes()) for x, y in zip(local.xs, local.ys)}
+    extra = [k for k, (x, y) in enumerate(zip(xs, ys)) if (x.tobytes(), y.tobytes()) not in seen]
+    return _neighbor_system(np.vstack((local.xs, xs[extra])), np.vstack((local.ys, ys[extra])),
+                            pt, test_r, local.spaces)
 
 
-def _eval_point_solve(F: MappingModel, pt: GraphPoint, i: int, j: int, system, dirs,
-                      schedule: ScaleSchedule, sample_of):
-    """The minimal coderivative norm at evaluation point i of scale j, whose
-    neighbor system at the full test radius is `system`, as a solve generator
-    returning (result, point, neighbor system).  A retry at a smaller radius
-    gets the scale's sample from sample_of(j)."""
+def _eval_point_solve(F: MappingModel, rows, pt: GraphPoint, i: int, j: int, dirs,
+                      schedule: ScaleSchedule):
+    """The minimal coderivative norm at evaluation point pt, row i of the
+    rows (xs, ys) of scale j's sample, as a solve generator returning
+    (result, point, neighbor system)."""
     # the normal-cone quotient is a limit over shrinking neighborhoods:
     # when the full-radius system is infeasible (a second graph branch
     # inside the window), retry at smaller radii before giving up
     for halving in range(4):
-        if halving:
-            system = _point_system(F, sample_of(j), i, j, halving, schedule)
+        system = _point_system(F, rows, pt, i, j, halving, schedule)
         res = yield from _min_coderivative_steps(system, pt, schedule.epsilons[j], dirs,
                                                  F.product_spec)
         if res.feasible:
@@ -518,15 +522,6 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
     m = F.codomain.dimension
     dirs = sphere_grid(F.codomain, max(2 * m, schedule.directions), seed=schedule.seed)
     spaces = F.product_spec
-    # retries are rare: a scale's sample is rebuilt from its seed for them
-    # rather than kept alive through the lockstep run
-    rebuilt: dict[int, SampledGraph] = {}
-
-    def sample_of(j: int) -> SampledGraph:
-        if j not in rebuilt:
-            rebuilt[j] = scale_sample(F, base, schedule, j)
-        return rebuilt[j]
-
     runs, scale_of = [], []
     for j, delta in enumerate(schedule.radii):
         sample = scale_sample(F, base, schedule, j)
@@ -536,16 +531,16 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
         if len(inside) > schedule.eval_points:
             picks = np.unique(np.round(np.linspace(0, len(inside) - 1, schedule.eval_points)).astype(int))
             inside = [inside[i] for i in picks]
-        runs += [_eval_point_solve(F, sample.points[i], i, j,
-                                   _point_system(F, sample, i, j, 0, schedule), dirs, schedule,
-                                   sample_of)
+        # the points keep the scale's rows for their retries, not its GraphPoints
+        rows = sample.xs, sample.ys
+        runs += [_eval_point_solve(F, rows, sample.points[i], i, j, dirs, schedule)
                  for i in inside]
         scale_of += [j] * len(inside)
     evaluated, solved, infeasible = _lockstep(runs)
     low_points = sum(res.low_confidence for res, _, _ in evaluated)
 
     per_scale: list[tuple[float, float]] = []
-    ladders, ladder_scales = [], []
+    ladders, ladder_deltas = [], []
     domain = F.domain
     for j, (delta, eps) in enumerate(zip(schedule.radii, schedule.epsilons)):
         results = [(res, pt, system) for (res, pt, system), s in zip(evaluated, scale_of)
@@ -565,25 +560,18 @@ def rg_plus_estimate(F: MappingModel, base: GraphPoint, schedule: ScaleSchedule)
         w_res, w_pt, w_sys = min(
             pool, key=lambda t: abs(norm(t[1].x - base.x, domain) - delta / 4.0))
         ladders.append(_witness_solve(w_sys, w_pt, eps, w_res, dirs, spaces))
-        ladder_scales.append((w_pt, delta))
+        ladder_deltas.append(delta)
     laddered, w_solved, w_infeasible = _lockstep(ladders)
-    raw_witnesses = [(w_pt, res.element, eps_w, delta, res.value)
-                     for (res, eps_w), (w_pt, delta) in zip(laddered, ladder_scales)
-                     if res.feasible]
 
-    # enforce strictly decreasing witness epsilons (raising earlier ones only,
-    # which keeps every membership certificate valid)
+    # enforce strictly decreasing witness epsilons, finest scale first
+    # (raising earlier ones only, which keeps every membership certificate valid)
     witnesses: list[ScaleWitness] = []
-    next_eps = None
-    fixed: list[float] = []
-    for (_, _, eps_w, _, _) in reversed(raw_witnesses):
-        if next_eps is not None and eps_w <= next_eps:
-            eps_w = next_eps / 0.9
-        fixed.append(eps_w)
-        next_eps = eps_w
-    fixed.reverse()
-    for (pt, elem, _, delta, val), eps_w in zip(raw_witnesses, fixed):
-        witnesses.append(ScaleWitness(pt, elem.y_star, elem.x_star, eps_w, delta, val))
+    for (res, eps_w), delta in zip(reversed(laddered), reversed(ladder_deltas)):
+        if witnesses and eps_w <= witnesses[-1].eps:
+            eps_w = witnesses[-1].eps / 0.9
+        elem = res.element
+        witnesses.append(ScaleWitness(elem.at, elem.y_star, elem.x_star, eps_w, delta, res.value))
+    witnesses.reverse()
 
     values = [v for _, v in per_scale]
     return ModulusEstimate(values[-1], tuple(per_scale), _stabilized(values),

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import moduli
 from .mappings import GraphPoint, MappingModel, SampledGraph
-from .spaces import NormSpec, as_vector, dual_norm, generator, norm, norms, pairing
+from .spaces import (NormSpec, as_vector, dual_norm, generator, inf_from_json, inf_to_json,
+                     norm, norms, pairing)
 
 #: bump indices count along a tail of the witness sequence; keeps every
 #: exponent within (1, 1.04] so slope caps stay close to the slope norms
@@ -233,8 +234,8 @@ class BumpPerturbation:
                 for b in self.bumps
             ],
             "t": list(self.t),
-            "domain": {"dimension": self.domain.dimension, "p": _p_to_json(self.domain.p)},
-            "codomain": {"dimension": self.codomain.dimension, "p": _p_to_json(self.codomain.p)},
+            "domain": {"dimension": self.domain.dimension, "p": inf_to_json(self.domain.p)},
+            "codomain": {"dimension": self.codomain.dimension, "p": inf_to_json(self.codomain.p)},
         }
 
     def dumps(self) -> str:
@@ -242,21 +243,13 @@ class BumpPerturbation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BumpPerturbation":
-        domain = NormSpec(doc["domain"]["dimension"], _p_from_json(doc["domain"]["p"]))
-        codomain = NormSpec(doc["codomain"]["dimension"], _p_from_json(doc["codomain"]["p"]))
+        domain = NormSpec(doc["domain"]["dimension"], inf_from_json(doc["domain"]["p"]))
+        codomain = NormSpec(doc["codomain"]["dimension"], inf_from_json(doc["codomain"]["p"]))
         bumps = tuple(
             BumpSpec(b["center"], b["radius"], b["slope"], b["direction"], int(b["index"]))
             for b in doc["bumps"]
         )
         return cls(bumps, doc["base_point"], tuple(doc["t"]), domain, codomain)
-
-
-def _p_to_json(p: float):
-    return "inf" if math.isinf(p) else p
-
-
-def _p_from_json(v) -> float:
-    return math.inf if v == "inf" else float(v)
 
 
 # ---------------------------------------------------------------------------

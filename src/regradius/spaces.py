@@ -30,6 +30,16 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def inf_to_json(v: float):
+    """v as a JSON document holds it: infinity, which JSON lacks, as "inf"."""
+    return "inf" if math.isinf(v) else v
+
+
+def inf_from_json(v) -> float:
+    """The float that inf_to_json wrote as v."""
+    return math.inf if v == "inf" else float(v)
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """A p-norm on R^dimension, p restricted to {1, 2, inf}."""

@@ -113,6 +113,38 @@ def test_main_validate_and_parse_error(tmp_path, capsys):
     assert main(["validate", "--config", str(missing_r)]) == 1
 
 
+README_EXAMPLE = {
+    "mapping": {"kind": "linear", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
+    "base_point": {"x": [0.0, 0.0], "y": [0.0, 0.0]},
+    "norms": {"domain_p": 2, "range_p": 2},
+    "schedule": {"geometric": {"levels": 9}},
+    "tasks": [
+        "rg", "rg_plus", "bounds", "destabilize",
+        {"name": "interpolate", "r": 0.25},
+        {"name": "lyusternik_graves",
+         "f": {"kind": "linear", "matrix": [[0.1, 0.0], [0.0, -0.1]]}},
+        {"name": "strong_check", "expect": True},
+    ],
+    "K": 8,
+    "seed": 7,
+}
+
+
+def test_main_runs_the_readme_example(tmp_path):
+    # --seed 7 overrides the file's seed, so this is the README example's run
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(dict(README_EXAMPLE, seed=0)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--seed", "7"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["seed"] == 7
+    assert len(report["verdicts"]) == 7 and all(report["verdicts"].values())
+    tasks = [r["task"] for r in report["results"]]
+    assert {"destabilize", "interpolate", "lyusternik_graves"} <= set(tasks)
+    labels = {row.split(",")[0] for row in (out / "traces.csv").read_text().splitlines()[1:]}
+    assert {"3.destabilize.rg_perturbed", "4.interpolate.rg_perturbed"} <= labels
+
+
 def test_main_missing_file():
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 4
 

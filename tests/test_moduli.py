@@ -1,11 +1,13 @@
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
 
 import regradius as rr
+from regradius.mappings import GraphPoint, MappingModel, SampledGraph, sample_graph
 from regradius.moduli import (DROP_REASONS, SUBPROBLEM_COUNTS, MinNormCoderivative,
-                              ModulusEstimate, _local_system_sample, min_coderivative_norm)
+                              ModulusEstimate, min_coderivative_norm)
 
 from helpers import (branch_map, diag_map, fast_schedule, forbid_oracle, identity_map, origin,
                      parabola_map, random_conditioned_matrix, record_solved_columns)
@@ -237,6 +239,21 @@ def test_rg_plus_witnesses_recorded_per_scale():
 
 
 
+def _local_system_sample(F: MappingModel, pt: GraphPoint, radius: float,
+                         global_sample: SampledGraph, budget: int, seed: int) -> SampledGraph:
+    """Constraint sample centered at an evaluation point.
+
+    Shells centered at the point guarantee two-sided neighbor coverage in
+    every direction (the base-centered sample alone can leave a radial gap
+    around off-base points); nearby global points are merged in.
+    """
+    local = sample_graph(F, pt, radius, budget, seed=seed)
+    seen = {(p.x.tobytes(), p.y.tobytes()) for p in local.points}
+    nearby = compress(global_sample.points, global_sample.pair_distances_to(pt) <= radius)
+    merged = local.points + tuple(p for p in nearby if (p.x.tobytes(), p.y.tobytes()) not in seen)
+    return SampledGraph(pt, merged, radius, global_sample.spaces)
+
+
 def _rg_plus_point_by_point(F, base, schedule):
     """rg_plus_estimate solving one evaluation point after another, each
     through the public min_coderivative_norm: a literal copy of the
@@ -335,6 +352,17 @@ def test_rg_plus_witness_ladder_reuses_the_scale_result(monkeypatch):
     assert len(est.witnesses) == schedule.levels
     for w in est.witnesses:
         assert w.eps == schedule.epsilons[schedule.radii.index(w.delta)]
+    repeated = len(columns) - len(set(columns))
+    assert repeated == 0
+
+
+def test_rg_plus_solves_no_column_twice_on_a_passing_ladder(monkeypatch):
+    schedule = fast_schedule(5)
+    columns = record_solved_columns(monkeypatch)
+    est = rr.rg_plus_estimate(diag_map(2.0, 0.5), origin(2), schedule)
+    # every ladder passes its eps/256 rung, and the angle search goes on
+    # from that rung's grid instead of solving the grid again
+    assert [w.eps for w in est.witnesses] == [e / 256.0 for e in schedule.epsilons]
     repeated = len(columns) - len(set(columns))
     assert repeated == 0
 

@@ -133,5 +133,23 @@ def test_operator_norm_cases():
     assert rr.operator_norm(M2, linf, l1) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("range_p, attaining", [
+    # l-inf range: the normalized row of largest Euclidean norm, (3, 4, 0) / 5
+    (math.inf, np.array([0.6, 0.8, 0.0])),
+    # l1 range: M^T s / ||M^T s|| for the best sign vector s = (1, -1)
+    (1.0, np.array([2.0, 5.0, -2.0]) / math.sqrt(33.0)),
+], ids=["l2-to-linf", "l2-to-l1"])
+def test_operator_norm_from_the_euclidean_domain(range_p, attaining):
+    M = np.array([[3.0, 4.0, 0.0], [1.0, -1.0, 2.0]])
+    domain, codomain = rr.NormSpec(3, 2), rr.NormSpec(2, range_p)
+    value = rr.operator_norm(M, domain, codomain)
+    assert rr.norm(attaining, domain) == pytest.approx(1.0, abs=1e-15)
+    assert value == pytest.approx(rr.norm(M @ attaining, codomain), rel=1e-12)
+    x = np.random.default_rng(31).standard_normal((20000, 3))
+    sampled = rr.norms(x / rr.norms(x, domain)[:, None] @ M.T, codomain)
+    assert sampled.max() <= value * (1.0 + 1e-12)
+    assert sampled.max() >= 0.99 * value
+
+
 def test_membership_slack_is_small_positive():
     assert 0.0 < MEMBERSHIP_SLACK < 1e-6

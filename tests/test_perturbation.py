@@ -290,6 +290,30 @@ def test_relocation_identity_2d():
                                      test_radius=max(diag.rho / 4, 1e-6))
 
 
+def test_relocation_takes_an_ekeland_descent_step():
+    # hand-placed l1 sample: the start (0.02, -0.002) is the best quotient of
+    # the innermost shell, and the functional falls by more than the penalty
+    # on the step to (0.024, -0.012)
+    spec = rr.ProductNormSpec(rr.NormSpec(1, 1.0), rr.NormSpec(1, 1.0))
+    base = origin()
+    points = (base, rr.GraphPoint([0.02], [-0.002]), rr.GraphPoint([0.024], [-0.012]))
+    sample = rr.SampledGraph(base, points, 0.5, spec)
+    entry = WitnessEntry([0], [0], 0.05, [1.0], [-0.5], k=2)
+    rel, diag = rr.relocate_witness_ekeland(sample, base, entry)
+    assert diag.steps >= 1
+    assert (rel.x.tolist(), rel.y.tolist()) == ([0.024], [-0.012])
+    assert diag.moved == pytest.approx(0.014, abs=1e-15)
+    assert diag.budget == pytest.approx(0.02, abs=1e-15)
+    assert rel.eps == pytest.approx(0.5435, abs=1e-4)
+    # the checks of acceptance criterion 7
+    at = rr.GraphPoint(rel.x, rel.y)
+    assert rr.norm(rel.x - base.x, spec.left) > 0.0
+    assert rr.brute_force_membership(sample, at, (rel.x_star, -rel.y_star), rel.eps,
+                                     test_radius=max(diag.rho / 4.0, 1e-9))
+    assert diag.moved <= diag.budget + 1e-15
+    assert diag.steps <= len(sample.points)
+
+
 def test_relocation_does_not_call_the_membership_oracle(monkeypatch):
     """Criterion 7 checks relocated witnesses with oracles.brute_force_membership,
     so the relocation must certify them without it."""
